@@ -1,16 +1,59 @@
-"""Vectorised curve kernels for the Monte-Carlo estimators.
+"""Vectorised curve and vertex kernels.
 
 Rows of a sample matrix are treated as independent states; curves are held as
 padded knot matrices so whole batches can be classified without Python-level
-loops.  Semantics match the scalar functions in `core`/`catalysis` exactly
+loops.  Extreme points of the cones are built the same way, one row per level
+order.  Semantics match the scalar functions in `core`/`catalysis` exactly
 (same tolerances, same tie-break).
 """
 
 from __future__ import annotations
 
+from functools import cache
+from itertools import permutations
+
 import numpy as np
 
-from .core import EPS_CMP, TMCurve
+from .core import EPS_CMP, MAX_ENUM_DIM, TMCurve, _freeze, _simplex_rows
+
+
+@cache
+def perm_matrix(d: int) -> np.ndarray:
+    """Read-only (d!, d) matrix of every level order, lexicographic, built once per d."""
+    if d > MAX_ENUM_DIM:
+        raise ValueError(f"dimension {d} above enumeration cap {MAX_ENUM_DIM}")
+    return _freeze(np.array(list(permutations(range(d))), dtype=np.intp).reshape(-1, d))
+
+
+def order_vertices(heights, gamma: np.ndarray, perms: np.ndarray) -> np.ndarray:
+    """Extreme point of each level order in `perms`.
+
+    `heights` maps the knots cumsum(gamma[order]) (last pinned to 1) to the
+    bounding curve; the height increments, clamped at 0, are the populations.
+    """
+    knots = np.cumsum(gamma[perms], axis=1)
+    knots[:, -1] = 1.0
+    h = heights(knots)
+    h[:, -1] = 1.0
+    h[:, 1:] = h[:, 1:] - h[:, :-1]
+    out = np.empty_like(h)
+    out[np.arange(len(perms))[:, None], perms] = np.maximum(h, 0.0)
+    return out
+
+
+def distinct_vertices(heights, gamma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(orders, checked vertices) over every order; equal vertices keep their first order.
+
+    Rows rounded to 10 decimals are compared as tuples: `np.unique` would
+    compare bytes, telling -0.0 from 0.0, and reorder the rows.
+    """
+    perms = perm_matrix(gamma.size)
+    rows = order_vertices(heights, gamma, perms)
+    first: dict[tuple, int] = {}
+    for i, key in enumerate(map(tuple, np.round(rows, 10).tolist())):
+        first.setdefault(key, i)
+    keep = list(first.values())
+    return perms[keep], _simplex_rows(rows[keep])
 
 
 def batch_curves(samples: np.ndarray, gamma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

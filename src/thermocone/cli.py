@@ -66,7 +66,6 @@ class ExperimentConfig:
     samples: int
     beta: float | None
     out: str | None
-    fmt: str  # "json" or "csv"
 
 
 def _sig12(x: float):
@@ -107,7 +106,7 @@ def _load_json(path: str) -> dict:
     except OSError as exc:
         raise UsageError(f"cannot read input file {path!r}: {exc}") from exc
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise UsageError(
             f"{path}: malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
@@ -115,6 +114,15 @@ def _load_json(path: str) -> dict:
     if not isinstance(doc, dict):
         raise UsageError(f"{path}: top-level JSON object expected")
     return doc
+
+
+def _reject_constant(name: str):
+    raise UsageError(f"non-finite number {name} is not allowed")
+
+
+def _is_number(v) -> bool:
+    # JSON true/false arrive as bool, which Python counts as int
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
 def _field(doc: dict, name: str, path: str):
@@ -126,18 +134,24 @@ def _field(doc: dict, name: str, path: str):
 def _load_spectrum(doc: dict, path: str, beta_override: float | None) -> EnergySpectrum:
     energies = _field(doc, "energies", path)
     beta = beta_override if beta_override is not None else _field(doc, "beta", path)
-    if not isinstance(energies, list) or not all(isinstance(e, (int, float)) for e in energies):
+    if not isinstance(energies, list) or not all(_is_number(e) for e in energies):
         raise UsageError(f"{path}: field 'energies' must be a list of numbers")
-    if not isinstance(beta, (int, float)):
+    if not _is_number(beta):
         raise UsageError(f"{path}: field 'beta' must be a number")
     return EnergySpectrum(tuple(float(e) for e in energies), float(beta))
 
 
 def _load_state(doc: dict, path: str, field: str = "state") -> Dist:
     raw = _field(doc, field, path)
-    if not isinstance(raw, list) or not all(isinstance(v, (int, float)) for v in raw):
+    if not isinstance(raw, list) or not all(_is_number(v) for v in raw):
         raise UsageError(f"{path}: field {field!r} must be a list of numbers")
     return Dist(np.asarray(raw, dtype=float))
+
+
+def _inputs(cfg: ExperimentConfig, *fields: str) -> tuple:
+    """The input document, its spectrum and the named state fields, in that order."""
+    doc = _load_json(cfg.input)
+    return (doc, _load_spectrum(doc, cfg.input, cfg.beta), *(_load_state(doc, cfg.input, f) for f in fields))
 
 
 def _order_key(pi: tuple[int, ...]) -> str:
@@ -145,33 +159,24 @@ def _order_key(pi: tuple[int, ...]) -> str:
 
 
 def _cmd_curve(cfg: ExperimentConfig, args) -> dict | str:
-    doc = _load_json(cfg.input)
-    spec = _load_spectrum(doc, cfg.input, cfg.beta)
-    state = _load_state(doc, cfg.input)
+    _, spec, state = _inputs(cfg, "state")
     curve = tm_curve(state, spec)
     return {"elbows": [[x, y] for x, y in zip(curve.xs, curve.ys)]}
 
 
 def _cmd_compare(cfg: ExperimentConfig, args) -> dict:
-    doc = _load_json(cfg.input)
-    spec = _load_spectrum(doc, cfg.input, cfg.beta)
-    state = _load_state(doc, cfg.input)
-    target = _load_state(doc, cfg.input, "target")
+    _, spec, state, target = _inputs(cfg, "state", "target")
     return {"relation": compare(state, target, spec).value}
 
 
 def _cmd_cone(cfg: ExperimentConfig, args) -> dict:
-    doc = _load_json(cfg.input)
-    spec = _load_spectrum(doc, cfg.input, cfg.beta)
-    state = _load_state(doc, cfg.input)
+    _, spec, state = _inputs(cfg, "state")
     vertices = future_cone_vertices(state, spec)
     return {"vertices": {_order_key(pi): v for pi, v in vertices}}
 
 
 def _cmd_catalysable(cfg: ExperimentConfig, args) -> dict:
-    doc = _load_json(cfg.input)
-    spec = _load_spectrum(doc, cfg.input, cfg.beta)
-    state = _load_state(doc, cfg.input)
+    doc, spec, state = _inputs(cfg, "state")
     out: dict = {"vertices": {_order_key(pi): v for pi, v in c_plus_vertices(state, spec)}}
     if "target" in doc:
         target = _load_state(doc, cfg.input, "target")
@@ -181,10 +186,7 @@ def _cmd_catalysable(cfg: ExperimentConfig, args) -> dict:
 
 
 def _cmd_dimbound(cfg: ExperimentConfig, args) -> dict:
-    doc = _load_json(cfg.input)
-    spec = _load_spectrum(doc, cfg.input, cfg.beta)
-    state = _load_state(doc, cfg.input)
-    target = _load_state(doc, cfg.input, "target")
+    _, spec, state, target = _inputs(cfg, "state", "target")
     db = dim_bound(state, target, spec)
     return {
         "a": db.a,
@@ -199,16 +201,13 @@ def _gibbs_r(doc: dict, args) -> float:
     if args.catalyst_gibbs is not None:
         return args.catalyst_gibbs
     value = doc.get("catalyst_gibbs", 0.5)
-    if not isinstance(value, (int, float)):
+    if not _is_number(value):
         raise UsageError("field 'catalyst_gibbs' must be a number")
     return float(value)
 
 
 def _cmd_qubit_window(cfg: ExperimentConfig, args) -> dict:
-    doc = _load_json(cfg.input)
-    spec = _load_spectrum(doc, cfg.input, cfg.beta)
-    state = _load_state(doc, cfg.input)
-    target = _load_state(doc, cfg.input, "target")
+    doc, spec, state, target = _inputs(cfg, "state", "target")
     gibbs_r = _gibbs_r(doc, args)
     windows = qubit_window(state, target, spec, gibbs_r)
     return {
@@ -218,20 +217,14 @@ def _cmd_qubit_window(cfg: ExperimentConfig, args) -> dict:
 
 
 def _cmd_search_catalyst(cfg: ExperimentConfig, args) -> dict:
-    doc = _load_json(cfg.input)
-    spec = _load_spectrum(doc, cfg.input, cfg.beta)
-    state = _load_state(doc, cfg.input)
-    target = _load_state(doc, cfg.input, "target")
+    doc, spec, state, target = _inputs(cfg, "state", "target")
     gibbs_r = _gibbs_r(doc, args)
     hits = search_qubit_catalyst(state, target, spec, gibbs_r, args.grid)
     return {"gibbs_r": gibbs_r, "grid_n": args.grid, "t_values": hits}
 
 
 def _cmd_oracle_check(cfg: ExperimentConfig, args) -> dict:
-    doc = _load_json(cfg.input)
-    spec = _load_spectrum(doc, cfg.input, cfg.beta)
-    state = _load_state(doc, cfg.input)
-    target = _load_state(doc, cfg.input, "target")
+    _, spec, state, target = _inputs(cfg, "state", "target")
     report = oracle_report(state, target, spec, args.max_denominator)
     return {
         "thermo": report.thermo,
@@ -245,9 +238,7 @@ def _cmd_oracle_check(cfg: ExperimentConfig, args) -> dict:
 
 
 def _cmd_volume(cfg: ExperimentConfig, args) -> dict:
-    doc = _load_json(cfg.input)
-    spec = _load_spectrum(doc, cfg.input, cfg.beta)
-    state = _load_state(doc, cfg.input)
+    _, spec, state = _inputs(cfg, "state")
     est = mc_volume(state, spec, args.region, samples=cfg.samples, seed=cfg.seed)
     return {
         "region": args.region,
@@ -259,8 +250,7 @@ def _cmd_volume(cfg: ExperimentConfig, args) -> dict:
 
 
 def _cmd_isovolume(cfg: ExperimentConfig, args) -> str:
-    doc = _load_json(cfg.input)
-    spec = _load_spectrum(doc, cfg.input, cfg.beta)
+    _, spec = _inputs(cfg)
     table = isovolume_grid(spec, resolution=args.resolution, samples=cfg.samples, seed=cfg.seed)
     lines = ["x,y,relative_volume"]
     lines += [",".join(_csv_cell(v) for v in row) for row in table]
@@ -268,9 +258,7 @@ def _cmd_isovolume(cfg: ExperimentConfig, args) -> str:
 
 
 def _cmd_entangle(cfg: ExperimentConfig, args) -> dict:
-    doc = _load_json(cfg.input)
-    spec = _load_spectrum(doc, cfg.input, cfg.beta)
-    state = _load_state(doc, cfg.input)
+    _, spec, state = _inputs(cfg, "state")
     expected = TwoQubitConfig(spec.beta)
     if tuple(spec.energies) != expected.energies:
         raise UsageError("entangle expects the two-qubit spectrum energies [0, 1, 1, 2]")
@@ -292,9 +280,7 @@ def _cmd_entangle_volumes(cfg: ExperimentConfig, args) -> str:
 
 
 def _cmd_cooling(cfg: ExperimentConfig, args) -> dict:
-    doc = _load_json(cfg.input)
-    spec = _load_spectrum(doc, cfg.input, cfg.beta)
-    state = _load_state(doc, cfg.input)
+    _, spec, state = _inputs(cfg, "state")
     report = optimal_cooling(state, spec, catalytic=args.catalytic)
     out = {
         "q_c": report.q_c,
@@ -328,24 +314,8 @@ def _parse_float_list(raw: str, flag: str) -> list[float]:
         raise UsageError(f"{flag} expects a comma-separated list of numbers") from exc
 
 
-_HANDLERS = {
-    "curve": _cmd_curve,
-    "compare": _cmd_compare,
-    "cone": _cmd_cone,
-    "catalysable": _cmd_catalysable,
-    "dimbound": _cmd_dimbound,
-    "qubit-window": _cmd_qubit_window,
-    "search-catalyst": _cmd_search_catalyst,
-    "oracle-check": _cmd_oracle_check,
-    "volume": _cmd_volume,
-    "isovolume": _cmd_isovolume,
-    "entangle": _cmd_entangle,
-    "entangle-volumes": _cmd_entangle_volumes,
-    "cooling": _cmd_cooling,
-    "cooling-critical": _cmd_cooling_critical,
-}
+_HANDLERS = {name: globals()["_cmd_" + name.replace("-", "_")] for name in SUBCOMMANDS}
 
-_CSV_COMMANDS = {"isovolume", "entangle-volumes", "cooling-critical"}
 _NO_INPUT = {"entangle-volumes", "cooling-critical"}
 
 
@@ -412,7 +382,6 @@ def run(argv) -> int:
         samples=args.samples,
         beta=args.beta,
         out=args.out,
-        fmt="csv" if args.subcommand in _CSV_COMMANDS else "json",
     )
     try:
         if cfg.subcommand not in _NO_INPUT and not Path(cfg.input).is_file():

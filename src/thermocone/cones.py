@@ -3,17 +3,17 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 
 import numpy as np
 
+from ._batch import distinct_vertices, order_vertices
 from .core import (
     Dist,
     EnergySpectrum,
-    MAX_ENUM_DIM,
     Relation,
-    _matched_gibbs,
+    _perm,
     _probs,
+    _row_dist,
     compare,
     tm_curve,
 )
@@ -31,6 +31,11 @@ class ConeVertices:
 
     vertices: dict[tuple[int, ...], Dist]
 
+    @classmethod
+    def from_rows(cls, orders: np.ndarray, rows: np.ndarray) -> ConeVertices:
+        """Wrap the (orders, vertices) matrices of `_batch.distinct_vertices`."""
+        return cls({tuple(pi): _row_dist(v) for pi, v in zip(orders.tolist(), rows)})
+
     def __len__(self) -> int:
         return len(self.vertices)
 
@@ -41,55 +46,30 @@ class ConeVertices:
         return list(self.vertices.values())
 
 
-def _dedup_key(v: np.ndarray) -> tuple:
-    return tuple(np.round(v, 10))
+def _curve_heights(probs: np.ndarray, spec: EnergySpectrum):
+    curve = tm_curve(probs, spec)
+    return lambda knots: np.interp(knots, curve.xs, curve.ys)
 
 
 def vertex_for_order(p, spec: EnergySpectrum, order) -> Dist:
     """Future-cone extreme point whose beta-order is the given level order."""
     probs = _probs(p)
-    gamma = _matched_gibbs(spec, probs.size)
-    curve = tm_curve(probs, spec)
-    idx = np.asarray(order, dtype=int)
-    xs = np.cumsum(gamma[idx])
-    xs[-1] = 1.0
-    heights = np.interp(xs, curve.xs, curve.ys)
-    heights[-1] = 1.0
-    diffs = np.diff(np.concatenate(([0.0], heights)))
-    out = np.empty_like(probs)
-    out[idx] = np.maximum(diffs, 0.0)
-    return Dist(out)
+    return Dist(order_vertices(_curve_heights(probs, spec), spec.gibbs, _perm(order, probs.size)[None])[0])
+
+
+def _future_rows(probs: np.ndarray, spec: EnergySpectrum) -> tuple[np.ndarray, np.ndarray]:
+    return distinct_vertices(_curve_heights(probs, spec), spec.gibbs)
 
 
 def future_cone_vertices(p, spec: EnergySpectrum) -> ConeVertices:
     """All extreme points of the future thermal cone of `p`.
 
-    Enumerates every level order (d <= 8), reading the vertex populations off
-    the curve of `p` at the order's Gibbs subsums; identical vertices are
-    merged (L-inf tolerance 1e-10) keeping the lexicographically first order.
+    One vectorised pass over every level order (d <= 8) reads the populations
+    off the curve of `p` at the order's Gibbs subsums; vertices equal to 1e-10
+    keep the lexicographically first order.  About 1 ms at d = 6, 10 ms at
+    d = 7 and 0.1 s at d = 8.
     """
-    probs = _probs(p)
-    d = probs.size
-    if d > MAX_ENUM_DIM:
-        raise ValueError(f"dimension {d} above enumeration cap {MAX_ENUM_DIM}")
-    gamma = _matched_gibbs(spec, d)
-    curve = tm_curve(probs, spec)
-    out: dict[tuple[int, ...], Dist] = {}
-    seen: set[tuple] = set()
-    for pi in permutations(range(d)):
-        idx = np.asarray(pi, dtype=int)
-        xs = np.cumsum(gamma[idx])
-        xs[-1] = 1.0
-        heights = np.interp(xs, curve.xs, curve.ys)
-        heights[-1] = 1.0
-        diffs = np.diff(np.concatenate(([0.0], heights)))
-        v = np.empty(d)
-        v[idx] = np.maximum(diffs, 0.0)
-        key = _dedup_key(v)
-        if key not in seen:
-            seen.add(key)
-            out[pi] = Dist(v)
-    return ConeVertices(out)
+    return ConeVertices.from_rows(*_future_rows(_probs(p), spec))
 
 
 def classify(p, q, spec: EnergySpectrum) -> Relation:

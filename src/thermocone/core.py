@@ -133,6 +133,26 @@ class Dist:
         return f"Dist({np.array2string(self.probs, precision=6, separator=', ')})"
 
 
+def _simplex_rows(m: np.ndarray) -> np.ndarray:
+    """Check every row of `m` by Dist's rules at once; clamps in place, then read-only."""
+    if not np.all(np.isfinite(m)):
+        raise ValueError("distribution entries must be finite")
+    if m.min() < -EPS_NEG:
+        raise ValueError(f"negative probability {m.min():.3e} below -{EPS_NEG:.0e}")
+    np.clip(m, 0.0, None, out=m)
+    bad = np.abs(m.sum(axis=1) - 1.0) > EPS_SUM
+    if bad.any():
+        raise ValueError(f"probabilities sum to {float(m[bad][0].sum()):.12g}, not 1")
+    return _freeze(m)
+
+
+def _row_dist(row: np.ndarray) -> Dist:
+    """Dist around a row of `_simplex_rows` output, without checking it again."""
+    dist = object.__new__(Dist)
+    object.__setattr__(dist, "probs", row)
+    return dist
+
+
 @dataclass(frozen=True, eq=False)
 class QuasiDist:
     """Signed vector summing to one; entries may be negative."""

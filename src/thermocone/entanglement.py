@@ -134,11 +134,8 @@ def in_CN(p, cfg: TwoQubitConfig, samples: int = 20_000, seed: int = DEFAULT_SEE
     """
     probs = _probs(p)
     spec = cfg.spectrum()
-    for vertex in future_cone_vertices(probs, spec).distinct():
-        if not in_TN(vertex, cfg):
-            return False
-    for vertex in c_plus_vertices(probs, spec).distinct():
-        if not in_TN(vertex, cfg):
+    for vertices in (future_cone_vertices, c_plus_vertices):
+        if not all(in_TN(v, cfg) for v in vertices(probs, spec).distinct()):
             return False
     if samples <= 0:
         return True

@@ -36,7 +36,7 @@ DEFAULT_SAMPLES = 100_000
 _CHUNK = 1 << 14
 
 REGIONS = ("T+", "T-", "T0", "C+", "C-")
-_REGION_ALIASES = {"T∅": "T0", "Tnull": "T0", "C+": "C+", "C-": "C-"}
+_REGION_ALIASES = {"T∅": "T0", "Tnull": "T0"}
 
 
 def _threads() -> int:

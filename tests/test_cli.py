@@ -114,3 +114,41 @@ class TestExitCodes:
 
     def test_unknown_subcommand_is_usage_error(self, capsys):
         assert run(["transmogrify"]) == 2
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            '{"energies": [0, 1, 2], "beta": 0.2, "state": [true, false, false]}',
+            '{"energies": [0, true, 2], "beta": 0.2, "state": [0.42, 0.51, 0.07]}',
+            '{"energies": [0, 1, 2], "beta": false, "state": [0.42, 0.51, 0.07]}',
+        ],
+        ids=["state", "energies", "beta"],
+    )
+    def test_json_boolean_is_not_a_number(self, tmp_path, capsys, doc):
+        path = tmp_path / "bool.json"
+        path.write_text(doc)
+        assert run(["cone", "--input", str(path)]) == 2
+        assert "must be" in capsys.readouterr().err
+
+    def test_json_boolean_catalyst_gibbs_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "bool_gibbs.json"
+        doc = json.loads(Path(PAIR3).read_text())
+        doc["catalyst_gibbs"] = True
+        path.write_text(json.dumps(doc))
+        assert run(["qubit-window", "--input", str(path)]) == 2
+        assert "catalyst_gibbs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            '{"energies": [0, 1, 2], "beta": NaN, "state": [0.42, 0.51, 0.07]}',
+            '{"energies": [0, 1, Infinity], "beta": 0.2, "state": [0.42, 0.51, 0.07]}',
+            '{"energies": [0, 1, 2], "beta": 0.2, "state": [0.42, -Infinity, 0.07]}',
+        ],
+        ids=["NaN", "Infinity", "-Infinity"],
+    )
+    def test_non_finite_json_constant_is_usage_error(self, tmp_path, capsys, doc):
+        path = tmp_path / "nonfinite.json"
+        path.write_text(doc)
+        assert run(["curve", "--input", str(path)]) == 2
+        assert "non-finite" in capsys.readouterr().err
