@@ -37,7 +37,7 @@ from .embedding import (
     oracle_report,
     rationalize,
 )
-from .cones import ConeVertices, classify, future_cone_vertices, vertex_for_order
+from .cones import ConeVertices, future_cone_vertices, vertex_for_order
 from .catalysis import (
     DimBound,
     EmptyIntervalError,

@@ -259,14 +259,10 @@ class DimBound:
     L_prime: tuple[int, ...]
 
 
-def _slope_left(curve: TMCurve, x: float) -> float:
-    i = int(np.searchsorted(curve.xs, x - 1e-12, side="left"))
-    i = min(max(i, 1), curve.xs.size - 1)
-    return float((curve.ys[i] - curve.ys[i - 1]) / (curve.xs[i] - curve.xs[i - 1]))
-
-
-def _slope_right(curve: TMCurve, x: float) -> float:
-    i = int(np.searchsorted(curve.xs, x + 1e-12, side="right"))
+def _slope_at(curve: TMCurve, x: float, side: str) -> float:
+    # slope of the segment just to the given side ("left" or "right") of x
+    shift = -1e-12 if side == "left" else 1e-12
+    i = int(np.searchsorted(curve.xs, x + shift, side=side))
     i = min(max(i, 1), curve.xs.size - 1)
     return float((curve.ys[i] - curve.ys[i - 1]) / (curve.xs[i] - curve.xs[i - 1]))
 
@@ -297,8 +293,8 @@ def dim_bound(p, q, spec: EnergySpectrum) -> DimBound:
 
     slopes = beta_order(p, spec).slopes
     s1, sd = float(slopes[0]), float(slopes[-1])
-    f_left = _slope_left(cp, m)
-    f_right = _slope_right(cp, n)
+    f_left = _slope_at(cp, m, "left")
+    f_right = _slope_at(cp, n, "right")
     a = min(
         math.inf if f_left == 0.0 else s1 / f_left,
         math.inf if sd == 0.0 else f_right / sd,

@@ -296,7 +296,7 @@ def _cmd_cooling(cfg: ExperimentConfig, args) -> dict:
 
 
 def _cmd_cooling_critical(cfg: ExperimentConfig, args) -> str:
-    betas = _parse_float_list(args.beta_list, "--beta")
+    betas = _parse_float_list(args.beta_list, "--beta-list")
     lines = ["d,beta,beta_h_down,beta_h_up"]
     for beta in betas:
         try:
@@ -307,11 +307,29 @@ def _cmd_cooling_critical(cfg: ExperimentConfig, args) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _finite_float(text: str) -> float:
+    """A finite number from the command line; nan and inf are usage errors."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text.strip()!r} is not a finite number")
+    return value
+
+
 def _parse_float_list(raw: str, flag: str) -> list[float]:
     try:
-        return [float(tok) for tok in raw.split(",") if tok.strip() != ""]
-    except ValueError as exc:
-        raise UsageError(f"{flag} expects a comma-separated list of numbers") from exc
+        return [_finite_float(tok) for tok in raw.split(",") if tok.strip() != ""]
+    except argparse.ArgumentTypeError as exc:
+        raise UsageError(f"{flag} expects a comma-separated list of finite numbers: {exc}") from exc
+
+
+def _write_out(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write output file {path!r}: {exc}") from exc
 
 
 _HANDLERS = {name: globals()["_cmd_" + name.replace("-", "_")] for name in SUBCOMMANDS}
@@ -329,7 +347,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser, needs_input: bool = True):
         if needs_input:
             p.add_argument("--input", required=True, help="canonical JSON state/pair file")
-        p.add_argument("--beta", type=float, default=None, help="override the file's beta")
+        p.add_argument("--beta", type=_finite_float, default=None, help="override the file's beta")
         p.add_argument("--seed", type=int, default=DEFAULT_SEED)
         p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
         p.add_argument("--out", default=None, help="write result here instead of stdout")
@@ -338,10 +356,10 @@ def _build_parser() -> argparse.ArgumentParser:
         common(sub.add_parser(name))
     p = sub.add_parser("qubit-window")
     common(p)
-    p.add_argument("--catalyst-gibbs", type=float, default=None)
+    p.add_argument("--catalyst-gibbs", type=_finite_float, default=None)
     p = sub.add_parser("search-catalyst")
     common(p)
-    p.add_argument("--catalyst-gibbs", type=float, default=None)
+    p.add_argument("--catalyst-gibbs", type=_finite_float, default=None)
     p.add_argument("--grid", type=int, default=200)
     p = sub.add_parser("oracle-check")
     common(p)
@@ -388,16 +406,16 @@ def run(argv) -> int:
             raise UsageError(f"input file {cfg.input!r} does not exist")
         result = _HANDLERS[cfg.subcommand](cfg, args)
         text = result if isinstance(result, str) else json.dumps(_jsonable(result), indent=2) + "\n"
+        if cfg.out is not None:
+            _write_out(cfg.out, text)
+        else:
+            sys.stdout.write(text)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if cfg.out is not None:
-        Path(cfg.out).write_text(text)
-    else:
-        sys.stdout.write(text)
     return 0
 
 

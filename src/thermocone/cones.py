@@ -1,4 +1,4 @@
-"""Thermal cones: future/past/incomparable classification and extreme points."""
+"""Thermal cones: the extreme points of a state's future."""
 
 from __future__ import annotations
 
@@ -10,15 +10,13 @@ from ._batch import distinct_vertices, order_vertices
 from .core import (
     Dist,
     EnergySpectrum,
-    Relation,
     _perm,
     _probs,
     _row_dist,
-    compare,
     tm_curve,
 )
 
-__all__ = ["ConeVertices", "future_cone_vertices", "classify"]
+__all__ = ["ConeVertices", "future_cone_vertices"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,8 +68,3 @@ def future_cone_vertices(p, spec: EnergySpectrum) -> ConeVertices:
     d = 7 and 0.1 s at d = 8.
     """
     return ConeVertices.from_rows(*_future_rows(_probs(p), spec))
-
-
-def classify(p, q, spec: EnergySpectrum) -> Relation:
-    """Relation of `q` to the cones of `p` (MAJORIZES means q is in p's future)."""
-    return compare(p, q, spec)

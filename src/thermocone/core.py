@@ -245,10 +245,14 @@ def beta_order(p, spec: EnergySpectrum) -> SlopeVector:
     depend on the choice.
     """
     probs = _probs(p)
-    gamma = _matched_gibbs(spec, probs.size)
-    ratios = probs / gamma
-    order = np.argsort(-ratios, kind="stable")
+    ratios, order = _slope_order(probs, _matched_gibbs(spec, probs.size))
     return SlopeVector(slopes=_freeze(ratios[order]), order=_freeze(order))
+
+
+def _slope_order(probs: np.ndarray, gamma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # slopes p_i/gamma_i of checked arrays and their stable non-increasing order
+    ratios = probs / gamma
+    return ratios, np.argsort(-ratios, kind="stable")
 
 
 @dataclass(frozen=True, eq=False)
@@ -285,7 +289,7 @@ def tm_curve(p, spec: EnergySpectrum, order=None) -> TMCurve:
     if order is None:
         probs = _probs(p)
         gamma = _matched_gibbs(spec, probs.size)
-        idx = beta_order(probs, spec).order
+        idx = _slope_order(probs, gamma)[1]
         check_concave = True
     else:
         probs = _entries(p)

@@ -19,7 +19,7 @@ from ._batch import batch_curves, eval_rows_at, fixed_dominates_rows
 from .catalysis import c_plus_vertices, tangent_bound_curve
 from .cones import future_cone_vertices, vertex_for_order
 from .core import Dist, EnergySpectrum, EPS_CMP, _probs
-from .volume import DEFAULT_SEED, VolumeEstimate, _chunk_rng, _estimate, sample_simplex
+from .volume import DEFAULT_SEED, VolumeEstimate, _estimate, _over_chunks
 
 __all__ = [
     "TwoQubitConfig",
@@ -31,7 +31,6 @@ __all__ = [
     "volume_ratio_CN_TN",
 ]
 
-_CHUNK = 1 << 14
 # target level order whose future extreme point decides entanglability (0-based)
 _DECISIVE_ORDER = (1, 0, 2, 3)
 
@@ -137,23 +136,16 @@ def in_CN(p, cfg: TwoQubitConfig, samples: int = 20_000, seed: int = DEFAULT_SEE
     for vertices in (future_cone_vertices, c_plus_vertices):
         if not all(in_TN(v, cfg) for v in vertices(probs, spec).distinct()):
             return False
-    if samples <= 0:
-        return True
     gamma = spec.gibbs
     t1 = tangent_bound_curve(probs, spec, 1)
     td = tangent_bound_curve(probs, spec, 4)
-    done = 0
-    chunk = 0
-    while done < samples:
-        count = min(_CHUNK, samples - done)
-        draws = sample_simplex(4, count, _chunk_rng(seed, chunk))
+
+    def stays_out(draws: np.ndarray) -> bool:
         xs, ys = batch_curves(draws, gamma)
         inside = fixed_dominates_rows(t1, xs, ys) & fixed_dominates_rows(td, xs, ys)
-        if inside.any() and not _tn_mask(draws[inside], gamma).all():
-            return False
-        done += count
-        chunk += 1
-    return True
+        return not inside.any() or bool(_tn_mask(draws[inside], gamma).all())
+
+    return all(_over_chunks(4, samples, seed, stays_out))
 
 
 def p_star(beta: float) -> Dist:
@@ -186,19 +178,12 @@ def volume_ratio_CN_TN(
     if samples < 10_000:
         raise ValueError("need at least 10000 samples")
     gamma = TwoQubitConfig(beta).spectrum().gibbs
-    tn_hits = 0
-    cn_hits = 0
-    done = 0
-    chunk = 0
-    while done < samples:
-        count = min(_CHUNK, samples - done)
-        draws = sample_simplex(4, count, _chunk_rng(seed, chunk))
+
+    def hits(draws: np.ndarray) -> tuple[int, int]:
         tn = _tn_mask(draws, gamma)
-        cn = _cn_mask(draws, gamma)
-        tn_hits += int(tn.sum())
-        cn_hits += int((cn & tn).sum())
-        done += count
-        chunk += 1
+        return int(tn.sum()), int((_cn_mask(draws, gamma) & tn).sum())
+
+    tn_hits, cn_hits = map(sum, zip(*_over_chunks(4, samples, seed, hits)))
     v_tn = _estimate(tn_hits, samples, seed)
     v_cn = _estimate(cn_hits, samples, seed)
     ratio = v_cn.value / v_tn.value if v_tn.value > 0 else math.nan

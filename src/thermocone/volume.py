@@ -46,14 +46,30 @@ def _threads() -> int:
         return 1
 
 
-def _chunk_rng(seed: int, chunk: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=[seed, chunk]))
-
-
 def sample_simplex(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
     """Uniform simplex samples via normalised exponential draws."""
     g = rng.exponential(size=(n, d))
     return g / g.sum(axis=1, keepdims=True)
+
+
+def _over_chunks(d: int, samples: int, seed: int, fn):
+    """`fn(draws)` for each chunk of `samples` uniform draws from the d-simplex, in order.
+
+    Chunk i holds up to `_CHUNK` draws from Philox(key=[seed, i]), so results
+    do not depend on `THERMOCONE_THREADS`.  With one thread they come lazily
+    (a caller may stop early); with more, all chunks run on a thread pool.
+    """
+
+    def _run(chunk: int):
+        rng = np.random.Generator(np.random.Philox(key=[seed, chunk]))
+        return fn(sample_simplex(d, min(_CHUNK, samples - chunk * _CHUNK), rng))
+
+    chunks = range(-(-samples // _CHUNK))
+    workers = _threads()
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(_run, chunks))
+    return map(_run, chunks)
 
 
 @dataclass(frozen=True)
@@ -118,21 +134,11 @@ def mc_volume(
         raise ValueError("need at least 1000 samples")
     name = _canonical_region(region)
     probs = _probs(p)
-    d = probs.size
-    chunks = [(i, min(_CHUNK, samples - i * _CHUNK)) for i in range((samples + _CHUNK - 1) // _CHUNK)]
 
-    def _hits(task: tuple[int, int]) -> int:
-        idx, count = task
-        draws = sample_simplex(d, count, _chunk_rng(seed, idx))
+    def hits(draws: np.ndarray) -> int:
         return int(region_masks(probs, spec, draws)[name].sum())
 
-    workers = _threads()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            total = sum(pool.map(_hits, chunks))
-    else:
-        total = sum(map(_hits, chunks))
-    return _estimate(total, samples, seed)
+    return _estimate(sum(_over_chunks(probs.size, samples, seed, hits)), samples, seed)
 
 
 def exact_area_d3(vertices) -> float:

@@ -152,3 +152,25 @@ class TestExitCodes:
         path.write_text(doc)
         assert run(["curve", "--input", str(path)]) == 2
         assert "non-finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["curve", "--input", STATE3, "--beta", "nan"],
+            ["qubit-window", "--input", PAIR3, "--catalyst-gibbs", "nan"],
+            ["entangle-volumes", "--betas", "0.5,nan", "--samples", "10000"],
+            ["cooling-critical", "--d", "3", "--beta-list", "inf"],
+        ],
+        ids=["beta", "catalyst-gibbs", "betas", "beta-list"],
+    )
+    def test_non_finite_flag_is_usage_error(self, capsys, argv):
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert "finite" in captured.err
+        assert captured.out == ""
+
+    def test_unwritable_out_is_usage_error(self, tmp_path, capsys):
+        target = tmp_path / "missing-dir" / "result.json"
+        assert run(["curve", "--input", STATE3, "--out", str(target)]) == 2
+        assert "cannot write" in capsys.readouterr().err
+        assert not target.exists()

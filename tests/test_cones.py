@@ -4,7 +4,7 @@ import pytest
 from thermocone import (
     EnergySpectrum,
     Relation,
-    classify,
+    compare,
     future_cone_vertices,
     gibbs_vector,
     thermo_majorizes,
@@ -65,7 +65,7 @@ class TestFutureVertices:
 class TestClassify:
     def test_gibbs_in_future(self, rng):
         p = random_dist(rng, 3)
-        assert classify(p, SPEC3.gibbs, SPEC3) in (Relation.MAJORIZES, Relation.EQUIVALENT)
+        assert compare(p, SPEC3.gibbs, SPEC3) in (Relation.MAJORIZES, Relation.EQUIVALENT)
 
     def test_constructed_past_point(self, rng):
         # mixing p toward a sharp state often yields a state strictly above it
@@ -74,9 +74,9 @@ class TestClassify:
             p = random_dist(rng, 3)
             q = 0.5 * p + 0.5 * np.array([1.0, 0.0, 0.0])
             if thermo_majorizes(q, p, SPEC3) and not thermo_majorizes(p, q, SPEC3):
-                assert classify(p, q, SPEC3) is Relation.MAJORIZED_BY
+                assert compare(p, q, SPEC3) is Relation.MAJORIZED_BY
                 triggered += 1
         assert triggered > 0
 
     def test_worked_incomparable_pair(self):
-        assert classify((0.42, 0.51, 0.07), (0.52, 0.43, 0.05), SPEC3) is Relation.INCOMPARABLE
+        assert compare((0.42, 0.51, 0.07), (0.52, 0.43, 0.05), SPEC3) is Relation.INCOMPARABLE

@@ -3,14 +3,18 @@ import pytest
 
 from thermocone import (
     EnergySpectrum,
+    TwoQubitConfig,
     c_plus_vertices,
     exact_area_d3,
     future_cone_vertices,
+    in_CN,
     isovolume_grid,
     mc_volume,
     region_masks,
     sample_simplex,
+    volume_ratio_CN_TN,
 )
+from thermocone.volume import _over_chunks
 
 from conftest import random_dist
 
@@ -103,6 +107,31 @@ def test_threaded_estimates_match_serial(monkeypatch):
     monkeypatch.setenv("THERMOCONE_THREADS", "4")
     threaded = mc_volume(FIG_STATE, SPEC3, "C+", samples=40_000, seed=9)
     assert serial.value == threaded.value
+
+
+def test_threaded_entanglement_estimates_match_serial(monkeypatch, rng):
+    cfg = TwoQubitConfig(0.5)
+    gibbs = cfg.spectrum().gibbs
+    # states near Gibbs pass the vertex screen, so every chunk is sampled
+    states = [(0.0, 1.0, 0.0, 0.0), gibbs] + [0.3 * random_dist(rng, 4) + 0.7 * gibbs for _ in range(3)]
+    serial_cn = [in_CN(p, cfg, samples=40_000, seed=11) for p in states]
+    serial_ratio = volume_ratio_CN_TN(0.5, samples=40_000, seed=11)
+    monkeypatch.setenv("THERMOCONE_THREADS", "2")
+    assert [in_CN(p, cfg, samples=40_000, seed=11) for p in states] == serial_cn
+    assert volume_ratio_CN_TN(0.5, samples=40_000, seed=11) == serial_ratio
+
+
+def test_serial_chunks_run_lazily(monkeypatch):
+    monkeypatch.setenv("THERMOCONE_THREADS", "1")
+    calls = []
+
+    def count(draws):
+        calls.append(draws.shape)
+        return draws.shape[0]
+
+    results = iter(_over_chunks(3, 5 * (1 << 14), 1, count))
+    assert next(results) == 1 << 14
+    assert calls == [(1 << 14, 3)]
 
 
 class TestExactArea:
