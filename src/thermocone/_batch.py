@@ -92,6 +92,36 @@ def fixed_dominates_rows(curve: TMCurve, xs: np.ndarray, ys: np.ndarray, tol: fl
     return ok
 
 
+def _interp_rows(x: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Row k's curve (xs[k], ys[k]) at the points x[k], as `np.interp` computes it.
+
+    x must lie in [0, 1] and each row of xs must increase strictly from 0 to 1.
+    A point on a knot takes that knot's height; any other point takes
+    slope * (x - x_lo) + y_lo on its segment, the formula and operand order of
+    `np.interp`, so the values are bit-identical to a per-row `np.interp`.
+    """
+    rows = np.arange(xs.shape[0])[:, None]
+    j = (xs[:, None, :] <= x[:, :, None]).sum(axis=2) - 1
+    seg = np.minimum(j, xs.shape[1] - 2)
+    slopes = (ys[:, 1:] - ys[:, :-1]) / (xs[:, 1:] - xs[:, :-1])
+    inner = slopes[rows, seg] * (x - xs[rows, seg]) + ys[rows, seg]
+    return np.where(xs[rows, j] == x, ys[rows, j], inner)
+
+
+def rows_dominate_rows(
+    px: np.ndarray, py: np.ndarray, qx: np.ndarray, qy: np.ndarray, tol: float = EPS_CMP
+) -> np.ndarray:
+    """Mask of rows k whose curve (px[k], py[k]) lies everywhere above (qx[k], qy[k]).
+
+    Row-wise `curve_dominates`: each curve is evaluated at the other's knots,
+    and a curve at its own knots is its knot heights, so together the checks
+    cover the union of abscissae with the same tolerance and the same values.
+    """
+    return np.all(py >= _interp_rows(px, qx, qy) - tol, axis=1) & np.all(
+        _interp_rows(qx, px, py) >= qy - tol, axis=1
+    )
+
+
 def rows_dominate_fixed(xs: np.ndarray, ys: np.ndarray, curve: TMCurve, tol: float = EPS_CMP) -> np.ndarray:
     """Mask of rows whose curve lies everywhere above the fixed curve."""
     ok = np.all(ys >= np.interp(xs, curve.xs, curve.ys) - tol, axis=1)

@@ -3,7 +3,8 @@
 Canonical state file: {"energies": [...], "beta": x, "state": [...]}.  Pair
 inputs add "target"; catalyst searches may add "catalyst_gibbs".  JSON output
 carries 12 significant digits, CSV 8; identical input, seed and samples give
-byte-identical output.  Exit codes: 0 success, 1 domain error, 2 usage error.
+byte-identical output.  Exit codes: 0 success, 1 domain error or any other
+failure (one `error:` line on stderr, no traceback), 2 usage error.
 """
 
 from __future__ import annotations
@@ -415,6 +416,9 @@ def run(argv) -> int:
         return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except Exception as exc:  # any other failure is a domain error, never a traceback
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     return 0
 

@@ -40,38 +40,47 @@ class RationalGibbs:
             raise ValueError("numerators must sum to the denominator")
 
 
-def _rounded_numerators(gamma: np.ndarray, denom: int) -> np.ndarray:
-    num = np.rint(gamma * denom).astype(int)
+_DENOM_BLOCK = 4096  # denominators rounded per array pass; bounds memory for large bounds
+
+
+def _rounded_numerators(gamma: np.ndarray, denoms: np.ndarray) -> np.ndarray:
+    """Numerator row for each denominator: rounded weights, at least 1, summing to it."""
+    col = denoms[:, None]
+    num = np.rint(gamma * col).astype(int)
     np.clip(num, 1, None, out=num)
-    # push the rounding surplus/deficit onto the entries that profit most
-    while True:
-        diff = denom - int(num.sum())
-        if diff == 0:
-            return num
-        err = gamma - num / denom
-        if diff > 0:
-            num[int(np.argmax(err))] += 1
-        else:
-            candidates = np.where(num > 1, err, np.inf)
-            num[int(np.argmin(candidates))] -= 1
+    # push each row's rounding surplus/deficit, one unit at a time, onto the
+    # entry that profits most; rows already summing to their denominator rest
+    rows = np.arange(denoms.size)
+    diff = denoms - num.sum(axis=1)
+    while np.any(diff):
+        err = gamma - num / col
+        up = diff > 0
+        down = diff < 0
+        num[rows[up], np.argmax(err[up], axis=1)] += 1
+        num[rows[down], np.argmin(np.where(num[down] > 1, err[down], np.inf), axis=1)] -= 1
+        diff = denoms - num.sum(axis=1)
+    return num
 
 
 def rationalize(gamma, max_denominator: int) -> RationalGibbs:
     """Best simultaneous rational approximation with denominator <= bound.
 
-    Scans every denominator from d upward, rounding each weight and repairing
-    the total; keeps the first denominator achieving the smallest max error.
+    Rounds every weight for every denominator from d upward, repairing each
+    total, in blocks of denominators; keeps the first denominator achieving the
+    smallest max error and stops after the block where that error reaches 0.
     """
     g = _probs(gamma)
     d = g.size
     if max_denominator < d:
         raise ValueError("max_denominator must be at least the dimension")
     best: RationalGibbs | None = None
-    for denom in range(d, max_denominator + 1):
-        num = _rounded_numerators(g, denom)
-        delta = float(np.abs(g - num / denom).max())
-        if best is None or delta < best.delta:
-            best = RationalGibbs(tuple(int(n) for n in num), denom, delta)
+    for start in range(d, max_denominator + 1, _DENOM_BLOCK):
+        denoms = np.arange(start, min(start + _DENOM_BLOCK, max_denominator + 1))
+        num = _rounded_numerators(g, denoms)
+        deltas = np.abs(g - num / denoms[:, None]).max(axis=1)
+        i = int(np.argmin(deltas))
+        if best is None or deltas[i] < best.delta:
+            best = RationalGibbs(tuple(num[i].tolist()), int(denoms[i]), float(deltas[i]))
         if best.delta == 0.0:
             break
     return best

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import thermocone.cli as cli
 from thermocone.cli import run
 
 DATA = Path(__file__).parent / "data"
@@ -174,3 +175,13 @@ class TestExitCodes:
         assert run(["curve", "--input", STATE3, "--out", str(target)]) == 2
         assert "cannot write" in capsys.readouterr().err
         assert not target.exists()
+
+    def test_unexpected_exception_is_exit_1_without_traceback(self, monkeypatch, capsys):
+        def fail(cfg, args):
+            raise RuntimeError("non-concave curve from a beta-ordered distribution")
+
+        monkeypatch.setitem(cli._HANDLERS, "curve", fail)
+        assert run(["curve", "--input", STATE3]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: RuntimeError: non-concave curve from a beta-ordered distribution\n"
+        assert captured.out == ""

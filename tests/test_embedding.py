@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import thermocone.embedding as embedding
 from thermocone import (
     EnergySpectrum,
     RationalGibbs,
@@ -21,6 +22,45 @@ def exact_rational_spectrum(numerators, beta=1.0):
     gamma = num / num.sum()
     energies = -np.log(gamma) / beta
     return EnergySpectrum(tuple(energies), beta)
+
+
+def reference_numerators(g, denom):
+    """Rounded weights, repaired one unit at a time until they sum to `denom`."""
+    num = np.clip(np.rint(g * denom).astype(int), 1, None)
+    while (diff := denom - int(num.sum())) != 0:
+        err = g - num / denom
+        if diff > 0:
+            num[int(np.argmax(err))] += 1
+        else:
+            num[int(np.argmin(np.where(num > 1, err, np.inf)))] -= 1
+    return num
+
+
+def reference_rationalize(gamma, max_denominator):
+    """The per-denominator scan `rationalize` batches: first strict improvement wins."""
+    g = np.asarray(gamma, dtype=float)
+    best = None
+    for denom in range(g.size, max_denominator + 1):
+        num = reference_numerators(g, denom)
+        delta = float(np.abs(g - num / denom).max())
+        if best is None or delta < best.delta:
+            best = RationalGibbs(tuple(int(n) for n in num), denom, delta)
+        if best.delta == 0.0:
+            break
+    return best
+
+
+def oracle_gibbs_vectors():
+    rng = np.random.default_rng(6)
+    vectors = [np.full(d, 1.0 / d) for d in range(2, 7)]
+    for d in range(2, 7):
+        vectors.append(gibbs_vector(EnergySpectrum(tuple(rng.integers(0, 3, d).astype(float)), 0.7)).probs)
+        vectors += [rng.dirichlet(np.ones(d)) for _ in range(4)]
+    return vectors
+
+
+ORACLE_GAMMAS = oracle_gibbs_vectors()
+ORACLE_IDS = [f"d{g.size}-{i}" for i, g in enumerate(ORACLE_GAMMAS)]
 
 
 class TestRationalize:
@@ -92,3 +132,32 @@ class TestOracle:
         p = gibbs_vector(spec).probs
         report = oracle_report(p, p, spec, 60)
         assert report.inconclusive or report.threshold == 0.0
+
+
+class TestRationalizeAgainstScalarScan:
+    @pytest.mark.parametrize("gamma", ORACLE_GAMMAS, ids=ORACLE_IDS)
+    def test_equal_to_the_scalar_scan(self, gamma):
+        for max_denominator in (gamma.size, 7, 60, 1000):
+            if max_denominator >= gamma.size:
+                rg = rationalize(gamma, max_denominator)
+                assert rg == reference_rationalize(gamma, max_denominator)
+                assert type(rg.denominator) is int and type(rg.delta) is float
+                assert all(type(n) is int for n in rg.numerators)
+
+    @pytest.mark.parametrize("gamma", ORACLE_GAMMAS, ids=ORACLE_IDS)
+    def test_every_denominator_is_repaired_like_the_scalar_loop(self, gamma):
+        denoms = np.arange(gamma.size, 300)
+        expected = [reference_numerators(gamma, int(denom)) for denom in denoms]
+        assert np.array_equal(embedding._rounded_numerators(gamma, denoms), expected)
+
+    @pytest.mark.parametrize("block", [1, 2, 7])
+    def test_blocks_keep_the_first_strict_improvement(self, monkeypatch, block):
+        monkeypatch.setattr(embedding, "_DENOM_BLOCK", block)
+        for gamma in ORACLE_GAMMAS[::3]:
+            assert rationalize(gamma, 80) == reference_rationalize(gamma, 80)
+
+    def test_exact_denominator_past_the_first_block(self):
+        gamma = [1 / 4100, 4099 / 4100]
+        rg = rationalize(gamma, 5000)
+        assert rg == reference_rationalize(gamma, 5000)
+        assert (rg.denominator, rg.delta) == (4100, 0.0)
