@@ -56,6 +56,24 @@ def distinct_vertices(heights, gamma: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return perms[keep], _simplex_rows(rows[keep])
 
 
+def subset_masses(cols: np.ndarray) -> np.ndarray:
+    """Mass of each column of the (d, n) array `cols` on every nonempty proper level subset.
+
+    Row k of the (2^d - 2, n) result belongs to the subset with bitmask k + 1
+    and sums its levels in increasing order.  It is built by doubling: the
+    subsets whose highest level is b are those below 2^b plus level b, so d
+    additions make every row.  No matrix product is used: one large enough
+    goes through multithreaded BLAS, whose worker threads then spin on a
+    second core after the call returns.
+    """
+    d, n = cols.shape
+    out = np.empty((1 << d, n))
+    out[0] = 0.0
+    for b in range(d):
+        np.add(out[: 1 << b], cols[b], out=out[1 << b : 2 << b])
+    return out[1:-1]
+
+
 def batch_curves(samples: np.ndarray, gamma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Knot matrices (X, Y) of every row's curve, including the (0,0) knot."""
     ratios = samples / gamma
@@ -82,14 +100,6 @@ def eval_rows_at(xs: np.ndarray, ys: np.ndarray, x0: float) -> np.ndarray:
     y_hi = ys[rows, j + 1]
     t = (x0 - x_lo) / (x_hi - x_lo)
     return y_lo + t * (y_hi - y_lo)
-
-
-def fixed_dominates_rows(curve: TMCurve, xs: np.ndarray, ys: np.ndarray, tol: float = EPS_CMP) -> np.ndarray:
-    """Mask of rows whose curve lies everywhere below the fixed curve."""
-    ok = np.all(np.interp(xs, curve.xs, curve.ys) >= ys - tol, axis=1)
-    for x0, y0 in zip(curve.xs[1:-1], curve.ys[1:-1]):
-        ok &= y0 >= eval_rows_at(xs, ys, float(x0)) - tol
-    return ok
 
 
 def _interp_rows(x: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:

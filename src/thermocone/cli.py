@@ -14,6 +14,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -338,7 +339,9 @@ _HANDLERS = {name: globals()["_cmd_" + name.replace("-", "_")] for name in SUBCO
 _NO_INPUT = {"entangle-volumes", "cooling-critical"}
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built once per process: argparse keeps no state between parse_args calls
     parser = argparse.ArgumentParser(
         prog="thermocone",
         description="thermomajorisation, thermal cones and catalysable regions",

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dist, EnergySpectrum, EPS_CMP, _probs, thermo_majorizes, tm_curve, _union_xs
+from .core import Dist, EnergySpectrum, EPS_CMP, _probs, curve_dominates, tm_curve, _union_xs
 
 __all__ = [
     "RationalGibbs",
@@ -128,7 +128,7 @@ def oracle_report(p, q, spec: EnergySpectrum, max_denominator: int) -> OracleRep
     margin = float(gaps[interior].min()) if np.any(interior) else 0.0
     threshold = spec.d * rg.delta
     return OracleReport(
-        thermo=thermo_majorizes(p, q, spec),
+        thermo=curve_dominates(cp, cq),
         embedded=classical_majorizes(lhs, rhs),
         margin=margin,
         threshold=threshold,

@@ -15,11 +15,11 @@ from itertools import permutations
 
 import numpy as np
 
-from ._batch import batch_curves, eval_rows_at, fixed_dominates_rows
+from ._batch import batch_curves, eval_rows_at
 from .catalysis import c_plus_vertices, tangent_bound_curve
 from .cones import future_cone_vertices, vertex_for_order
 from .core import Dist, EnergySpectrum, EPS_CMP, _probs
-from .volume import DEFAULT_SEED, VolumeEstimate, _estimate, _over_chunks
+from .volume import DEFAULT_SEED, VolumeEstimate, _Chunk, _estimate, _over_chunks
 
 __all__ = [
     "TwoQubitConfig",
@@ -97,28 +97,49 @@ def _tn_mask(samples: np.ndarray, gamma: np.ndarray) -> np.ndarray:
 def _cn_mask(samples: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     """Vertex test: every extreme point of the catalysable future must stay
     thermally non-entanglable.  Exact whenever the non-entanglable set is
-    convex (it is at beta=0, and numerically for beta > 0)."""
-    ratios = samples / gamma
-    s1 = ratios.max(axis=1)
-    sd = ratios.min(axis=1)
-    n = samples.shape[0]
+    convex (it is at beta=0, and numerically for beta > 0).
+
+    The extreme point of level order pi has the fixed knots cumsum(gamma[pi])
+    and the heights h(x) = min(s_1 x, 1 - s_d (1 - x), 1) there (s_1, s_d the
+    row's largest and smallest slope).  h is concave and non-decreasing, so the
+    point's populations are non-negative, its slopes fall along pi and its
+    thermomajorisation curve is the chord through those knots.  `_tn_mask`
+    first swaps the two degenerate middle levels into descending order; that
+    swap exchanges two equal Gibbs weights, so it leaves the knots, and the
+    curve, unchanged.  The curve is therefore read directly at the three
+    abscissae of the decisive order, with no vertex built and no row sorted;
+    its increments between them are the decisive point's populations.
+    Heights and chords are cached by their abscissae, so orders that share a
+    knot or a segment reuse one array, equal to what a fresh evaluation gives.
+    """
+    ratios = np.ascontiguousarray(samples.T) / gamma[:, None]
+    s1, sd = ratios.max(axis=0), ratios.min(axis=0)
+    heights = {0.0: 0.0, 1.0: 1.0}  # h at each knot abscissa, shared by the orders
+    chords = {}  # the curve at a probe, keyed by the segment's two knots and the probe
+
+    def chord(xs: np.ndarray, x0: np.float64) -> np.ndarray:
+        # the curve through (xs, h(xs)) at x0, with the segment choice of `eval_rows_at`
+        j = min(max(int((xs <= x0 + 1e-15).sum()) - 1, 0), xs.size - 2)
+        lo, hi = xs[j], xs[j + 1]
+        if (lo, hi, x0) not in chords:
+            for x in (lo, hi):
+                if x not in heights:
+                    heights[x] = np.minimum(np.minimum(s1 * x, 1.0 - sd * (1.0 - x)), 1.0)
+            chords[lo, hi, x0] = heights[lo] + (x0 - lo) / (hi - lo) * (heights[hi] - heights[lo])
+        return chords[lo, hi, x0]
+
+    probes = np.cumsum(gamma[list(_DECISIVE_ORDER)])[:3]
+    out = np.ones(samples.shape[0], dtype=bool)
     seen: set[tuple[float, ...]] = set()
-    out = np.ones(n, dtype=bool)
     for pi in permutations(range(4)):
         key = tuple(gamma[list(pi)])
         if key in seen:  # degenerate middle levels give duplicate knot sets
             continue
         seen.add(key)
-        knots = np.cumsum(gamma[list(pi)])[:3]
-        heights = []
-        for x in knots:
-            heights.append(np.minimum(np.minimum(s1 * x, 1.0 - sd * (1.0 - x)), 1.0))
-        v = np.empty((n, 4))
-        v[:, pi[0]] = heights[0]
-        v[:, pi[1]] = heights[1] - heights[0]
-        v[:, pi[2]] = heights[2] - heights[1]
-        v[:, pi[3]] = 1.0 - heights[2]
-        out &= _tn_mask(v, gamma)
+        xs = np.concatenate(([0.0], np.cumsum(gamma[list(pi)])))
+        xs[-1] = 1.0
+        f1, f2, f3 = (chord(xs, x0) for x0 in probes)
+        out &= 4.0 * (f2 - f1) * (1.0 - f3) - (f1 - (f3 - f2)) ** 2 >= -EPS_CMP
         if not out.any():
             break
     return out
@@ -141,8 +162,7 @@ def in_CN(p, cfg: TwoQubitConfig, samples: int = 20_000, seed: int = DEFAULT_SEE
     td = tangent_bound_curve(probs, spec, 4)
 
     def stays_out(draws: np.ndarray) -> bool:
-        xs, ys = batch_curves(draws, gamma)
-        inside = fixed_dominates_rows(t1, xs, ys) & fixed_dominates_rows(td, xs, ys)
+        (inside,) = _Chunk(draws, gamma).under((t1, td))
         return not inside.any() or bool(_tn_mask(draws[inside], gamma).all())
 
     return all(_over_chunks(4, samples, seed, stays_out))

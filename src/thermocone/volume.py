@@ -12,12 +12,13 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from ._batch import batch_curves, fixed_dominates_rows, rows_dominate_fixed
+from ._batch import batch_curves, rows_dominate_fixed, subset_masses
 from .catalysis import tangent_bound_curve
-from .core import EnergySpectrum, _matched_gibbs, _probs, tm_curve
+from .core import EPS_CMP, EnergySpectrum, TMCurve, _matched_gibbs, _probs, tm_curve
 
 __all__ = [
     "DEFAULT_SEED",
@@ -34,6 +35,9 @@ __all__ = [
 DEFAULT_SEED = 1729
 DEFAULT_SAMPLES = 100_000
 _CHUNK = 1 << 14
+_SUBSET_DIM = 6  # largest d whose 2^d - 2 subset masses are built for every row
+_MASS_BYTES = 1 << 21  # subset masses held at once per chunk
+_SLACK = 1e-12  # rounding allowance of the tangent screen in `_Chunk.above`
 
 REGIONS = ("T+", "T-", "T0", "C+", "C-")
 _REGION_ALIASES = {"T∅": "T0", "Tnull": "T0"}
@@ -87,21 +91,153 @@ def _estimate(hits: int, samples: int, seed: int) -> VolumeEstimate:
     return VolumeEstimate(value=v, stderr=math.sqrt(v * (1.0 - v) / samples), samples=samples, seed=seed)
 
 
+class _Chunk:
+    """A chunk of draws with every row's mass on a family of level subsets.
+
+    Up to `_SUBSET_DIM` levels the family is every nonempty proper subset,
+    built by `subset_masses`, whose abscissae gamma(S) are shared by all rows,
+    taken in row blocks of at most `_MASS_BYTES` of masses.  Above
+    `_SUBSET_DIM`, where 2^d - 2 subsets cost more than a sort, the family is
+    each row's own knot subsets, read off its sorted curve.  Either family
+    contains every row's knot subsets, which is all `under` needs (see
+    `region_masks`).  Masses are held as (subset, row), so tests over the
+    subsets run along the long axis.
+    """
+
+    def __init__(self, draws: np.ndarray, gamma: np.ndarray, share_curves: bool = False):
+        self.draws = draws
+        self.gamma = gamma
+        self.cols = np.ascontiguousarray(draws.T)
+        self.curves = batch_curves(draws, gamma) if share_curves or gamma.size > _SUBSET_DIM else None
+
+    def _family(self):
+        # (rows, masses on the family as (subset, row), abscissae) block by block
+        if self.gamma.size > _SUBSET_DIM:
+            xs, ys = self.curves
+            yield slice(None), ys[:, 1:-1].T, xs[:, 1:-1].T
+            return
+        x = subset_masses(self.gamma[:, None])
+        step = _MASS_BYTES // (8 << self.gamma.size)
+        for lo in range(0, len(self.draws), step):
+            yield slice(lo, lo + step), subset_masses(self.cols[:, lo : lo + step]), x
+
+    def under(self, *groups: tuple[TMCurve, ...]) -> list[np.ndarray]:
+        """Per group of curves, the rows whose curve lies below all of them (within EPS_CMP).
+
+        A group's threshold is the pointwise minimum of its curves; the test
+        `mass <= min(a, b) + EPS_CMP` equals the two tests against a and b,
+        because rounding the sums a + EPS_CMP and b + EPS_CMP is monotone.
+        """
+        out = [np.empty(len(self.draws), dtype=bool) for _ in groups]
+        for rows, mass, x in self._family():
+            for mask, curves in zip(out, groups):
+                thr = np.interp(x, curves[0].xs, curves[0].ys)
+                for c in curves[1:]:
+                    thr = np.minimum(thr, np.interp(x, c.xs, c.ys))
+                mask[rows] = np.all(mass <= thr + EPS_CMP, axis=0)
+        return out
+
+    @cached_property
+    def slopes(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every row's largest and smallest slope p_i / gamma_i."""
+        ratios = self.cols / self.gamma[:, None]
+        return ratios.max(axis=0), ratios.min(axis=0)
+
+    def above(self, curve: TMCurve, rows: np.ndarray) -> np.ndarray:
+        """Rows, among `rows`, whose curve lies above `curve` (within EPS_CMP).
+
+        A row's curve lies below its tangents min(s_1 x, 1 - s_d (1 - x)), so
+        rows whose tangents already fall short at one of `curve`'s knots are
+        dropped before the sorted curves are compared.
+        """
+        x = curve.xs[1:-1, None]
+        s1, sd = self.slopes
+        reach = np.minimum(x * s1, 1.0 - (1.0 - x) * sd)
+        rows = rows & np.all(reach >= curve.ys[1:-1, None] - (EPS_CMP + _SLACK), axis=0)
+        out = np.zeros(len(self.draws), dtype=bool)
+        if rows.any():
+            if self.curves is None:
+                xs, ys = batch_curves(self.draws[rows], self.gamma)
+            else:
+                xs, ys = self.curves[0][rows], self.curves[1][rows]
+            out[rows] = rows_dominate_fixed(xs, ys, curve)
+        return out
+
+
+@dataclass(frozen=True)
+class _Bounds:
+    """The three curves that bound a state's regions: its own, t_1 and t_d."""
+
+    curve: TMCurve
+    t1: TMCurve
+    td: TMCurve
+
+    @classmethod
+    def of(cls, probs: np.ndarray, spec: EnergySpectrum) -> "_Bounds":
+        d = probs.size
+        return cls(tm_curve(probs, spec), tangent_bound_curve(probs, spec, 1), tangent_bound_curve(probs, spec, d))
+
+    def region(self, name: str, chunk: _Chunk) -> np.ndarray:
+        """Membership mask of one region; the past is checked only where it decides."""
+        n = len(chunk.draws)
+        if name == "T-":
+            return chunk.above(self.curve, np.ones(n, dtype=bool))
+        if name in ("T+", "T0"):
+            (future,) = chunk.under((self.curve,))
+            if name == "T+":
+                return future
+            rows = ~future
+        elif name == "C+":
+            future, inside = chunk.under((self.curve,), (self.t1, self.td))
+            rows = inside & ~future
+        else:
+            future, in_t1, in_td = chunk.under((self.curve,), (self.t1,), (self.td,))
+            rows = ~in_t1 & ~in_td & ~future
+        return rows & ~chunk.above(self.curve, rows)
+
+
 def region_masks(p, spec: EnergySpectrum, samples: np.ndarray) -> dict[str, np.ndarray]:
-    """Boolean membership masks of every region for a batch of simplex samples."""
+    """Boolean membership masks of every region for a batch of simplex samples.
+
+    The future and the tangent masks need no sorting, by the subset lemma:
+    a concave curve f bounds the curve c_q of a state q iff
+    q(S) <= f(gamma(S)) for every level subset S.
+
+    Proof.  Every point (gamma(S), q(S)) lies on or below c_q, which is the
+    upper boundary of the hull of these points; so c_q <= f gives
+    q(S) <= c_q(gamma(S)) <= f(gamma(S)).  Conversely, the knots of c_q are
+    the points of the prefix subsets of q's beta-order, where the condition
+    holds by assumption.  Between two consecutive knots c_q is linear and f
+    is concave, so f - c_q is concave there and takes its minimum at one of
+    the two knots.  Hence f >= c_q everywhere.  Only the knots of c_q enter
+    the proof: the interior knots of f need no check of their own, because
+    concavity covers them.  The same holds for f + EPS_CMP, which is how the
+    tolerance enters.
+
+    So each row needs its masses on the subsets (`subset_masses`), and each
+    state one threshold row interp(gamma(S), f) shared by all rows.  The
+    curves used here are concave: the state's own curve (the future, T+),
+    t_1 (slope s_1 >= 1 up to 1 - gamma_min, then the chord to (1, 1)) and
+    t_d (a chord, then slope s_d <= 1).  The catalysable future needs the
+    row below both tangents, that is below the concave min(t_1, t_d), so
+    one threshold row serves it; and `mass <= min(a, b) + EPS_CMP` is
+    exactly `mass <= a + EPS_CMP and mass <= b + EPS_CMP` because rounding
+    is monotone.  The catalysable past needs the row above *both* tangents
+    somewhere, the complement of a union, which no single threshold row
+    describes, so it keeps the two masks.
+
+    The past (T-) asks the reverse, c_q >= c_p, which the lemma turns into a
+    check of c_q at the knots of c_p.  That needs each row's sorted curve.
+    Rows whose tangents min(s_1 x, 1 - s_d (1 - x)), which bound c_q from
+    above, already fall short at a knot of c_p are dropped first.
+    """
     probs = _probs(p)
-    d = probs.size
-    _matched_gibbs(spec, d)
-    gamma = spec.gibbs
-    curve = tm_curve(probs, spec)
-    t1 = tangent_bound_curve(probs, spec, 1)
-    td = tangent_bound_curve(probs, spec, d)
-    xs, ys = batch_curves(samples, gamma)
-    future = fixed_dominates_rows(curve, xs, ys)
-    past = rows_dominate_fixed(xs, ys, curve)
+    gamma = _matched_gibbs(spec, probs.size)
+    bounds = _Bounds.of(probs, spec)
+    chunk = _Chunk(samples, gamma, share_curves=True)
+    future, in_t1, in_td = chunk.under((bounds.curve,), (bounds.t1,), (bounds.td,))
+    past = chunk.above(bounds.curve, np.ones(len(samples), dtype=bool))
     incomparable = ~future & ~past
-    in_t1 = fixed_dominates_rows(t1, xs, ys)
-    in_td = fixed_dominates_rows(td, xs, ys)
     return {
         "T+": future,
         "T-": past,
@@ -134,9 +270,11 @@ def mc_volume(
         raise ValueError("need at least 1000 samples")
     name = _canonical_region(region)
     probs = _probs(p)
+    gamma = _matched_gibbs(spec, probs.size)
+    bounds = _Bounds.of(probs, spec)
 
     def hits(draws: np.ndarray) -> int:
-        return int(region_masks(probs, spec, draws)[name].sum())
+        return int(bounds.region(name, _Chunk(draws, gamma)).sum())
 
     return _estimate(sum(_over_chunks(probs.size, samples, seed, hits)), samples, seed)
 
@@ -170,19 +308,24 @@ def isovolume_grid(
     Returns rows (p_1, p_2, relative volume), where volumes are normalised by
     the grid maximum (all-zero grids are left at zero).  Grid states with an
     empty third population are included; they are valid non-full-rank states.
+    Every grid point uses the same seed, so one pass over the draws serves
+    them all: each chunk's subset masses and sorted curves are built once and
+    each grid point counts its hits on them, as `mc_volume` would.
     """
     if spec.d != 3:
         raise ValueError("isovolume grids are defined for three-level systems")
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
-    rows = []
-    for i in range(resolution + 1):
-        for j in range(resolution + 1 - i):
-            p1 = i / resolution
-            p2 = j / resolution
-            p3 = 1.0 - p1 - p2
-            est = mc_volume((p1, p2, p3), spec, "C+", samples=max(samples, 1000), seed=seed)
-            rows.append((p1, p2, est.value))
+    n = max(samples, 1000)
+    grid = [(i / resolution, j / resolution) for i in range(resolution + 1) for j in range(resolution + 1 - i)]
+    bounds = [_Bounds.of(_probs((p1, p2, 1.0 - p1 - p2)), spec) for p1, p2 in grid]
+
+    def hits(draws: np.ndarray) -> list[int]:
+        chunk = _Chunk(draws, spec.gibbs, share_curves=True)
+        return [int(b.region("C+", chunk).sum()) for b in bounds]
+
+    counts = [sum(c) for c in zip(*_over_chunks(3, n, seed, hits))]
+    rows = [(p1, p2, c / n) for (p1, p2), c in zip(grid, counts)]
     table = np.array(rows)
     peak = table[:, 2].max()
     if peak > 0.0:

@@ -66,6 +66,37 @@ def test_output_is_byte_stable():
         assert first == second
 
 
+def test_shared_parser_matches_a_fresh_one(capsys):
+    # one parser serves every call: back-to-back subcommands, with usage errors
+    # in between, print exactly what each prints with a newly built parser
+    fresh = {}
+    for name, argv in COMMANDS:
+        cli._build_parser.cache_clear()
+        fresh[name] = invoke(argv)
+    capsys.readouterr()
+    for name, argv in COMMANDS:
+        assert run(["volume", "--input", STATE3, "--region"]) == 2
+        assert run(["curve", "--input", STATE3, "--beta", "nan"]) == 2
+        errors = capsys.readouterr().err
+        assert "expected one argument" in errors and "finite" in errors
+        assert invoke(argv) == fresh[name]
+    assert cli._build_parser.cache_info().currsize == 1
+
+
+@pytest.mark.parametrize(
+    "plain,flagged",
+    [
+        (["curve", "--input", STATE3], ["--beta", "0.0"]),
+        (["cooling", "--input", COOL3], ["--catalytic"]),
+    ],
+    ids=["beta", "catalytic"],
+)
+def test_flags_do_not_leak_between_calls(plain, flagged):
+    before = invoke(plain)
+    assert invoke(plain + flagged) != before
+    assert invoke(plain) == before
+
+
 def test_out_flag_writes_file(tmp_path):
     target = tmp_path / "result.json"
     code, text = invoke(["compare", "--input", PAIR3, "--out", str(target)])

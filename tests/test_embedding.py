@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import thermocone.core as core
 import thermocone.embedding as embedding
 from thermocone import (
     EnergySpectrum,
@@ -126,6 +127,27 @@ class TestOracle:
                 continue
             assert report.embedded == thermo_majorizes(p, q, spec)
             checked += 1
+
+    def test_each_curve_is_built_once(self, monkeypatch, rng):
+        calls = []
+        real = embedding.tm_curve
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        # core's own callers (thermo_majorizes) see the wrapper too
+        monkeypatch.setattr(embedding, "tm_curve", counted)
+        monkeypatch.setattr(core, "tm_curve", counted)
+        for d in (2, 3, 4):
+            spec = exact_rational_spectrum(rng.integers(1, 16, size=d))
+            pairs = [(random_dist(rng, d), random_dist(rng, d)) for _ in range(20)]
+            pairs += [(p, p) for p, _ in pairs[:3]] + [(np.asarray(spec.gibbs), q) for _, q in pairs[:3]]
+            for p, q in pairs:
+                calls.clear()
+                report = oracle_report(p, q, spec, 60)
+                assert len(calls) == 2
+                assert report.thermo == thermo_majorizes(p, q, spec)
 
     def test_near_tie_is_flagged(self):
         spec = exact_rational_spectrum([3, 2, 1])
