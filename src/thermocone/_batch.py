@@ -44,15 +44,19 @@ def order_vertices(heights, gamma: np.ndarray, perms: np.ndarray) -> np.ndarray:
 def distinct_vertices(heights, gamma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(orders, checked vertices) over every order; equal vertices keep their first order.
 
-    Rows rounded to 10 decimals are compared as tuples: `np.unique` would
-    compare bytes, telling -0.0 from 0.0, and reorder the rows.
+    Two vertices are equal when their rows rounded to 10 decimals are; adding
+    0.0 folds -0.0 into 0.0.  A stable lexsort puts equal keys next to each
+    other in index order, so each run's first index is the order to keep.
     """
     perms = perm_matrix(gamma.size)
     rows = order_vertices(heights, gamma, perms)
-    first: dict[tuple, int] = {}
-    for i, key in enumerate(map(tuple, np.round(rows, 10).tolist())):
-        first.setdefault(key, i)
-    keep = list(first.values())
+    keys = np.round(rows, 10)
+    keys += 0.0
+    idx = np.lexsort(keys.T)
+    keys = keys[idx]
+    first = np.ones(len(idx), dtype=bool)
+    first[1:] = np.any(keys[1:] != keys[:-1], axis=1)
+    keep = np.sort(idx[first])
     return perms[keep], _simplex_rows(rows[keep])
 
 
@@ -90,9 +94,16 @@ def batch_curves(samples: np.ndarray, gamma: np.ndarray) -> tuple[np.ndarray, np
 
 
 def eval_rows_at(xs: np.ndarray, ys: np.ndarray, x0: float) -> np.ndarray:
-    """Evaluate every row's piecewise-linear curve at the scalar abscissa x0."""
+    """Evaluate every row's piecewise-linear curve at the scalar abscissa x0.
+
+    A knot above x0 by at most 1e-15 relative counts as reached, so x0 read
+    off a subset sum rounded differently still lands on that knot's segment.
+    The slack is relative: knots below 1e-15 (Gibbs weights at large beta*dE)
+    lie on segments with slopes near 1/gamma, where an absolute slack would
+    skip whole segments.
+    """
     nseg = xs.shape[1] - 1
-    j = np.clip((xs <= x0 + 1e-15).sum(axis=1) - 1, 0, nseg - 1)
+    j = np.clip((xs <= x0 + 1e-15 * x0).sum(axis=1) - 1, 0, nseg - 1)
     rows = np.arange(xs.shape[0])
     x_lo = xs[rows, j]
     x_hi = xs[rows, j + 1]

@@ -14,8 +14,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .catalysis import _c_plus_rows
-from .cones import _future_rows
+from ._batch import order_vertices
+from .catalysis import _c_plus_heights
+from .cones import _curve_heights
 from .core import Dist, EnergySpectrum, _probs
 
 __all__ = [
@@ -60,40 +61,122 @@ def heat_exchange(p, q, spec: EnergySpectrum) -> float:
     return float(e @ (b - a))
 
 
-def _lowest(heats: list[float]) -> int:
-    best, best_k = math.inf, 0
-    for k, heat in enumerate(heats):
-        if heat < best - 1e-12:  # first order in lexicographic scan wins ties
-            best, best_k = heat, k
-    return best_k
+def _search(heights, probs: np.ndarray, spec: EnergySpectrum, best: tuple | None = None) -> tuple:
+    """(heat, vertex, order) that a lexicographic scan over every level order keeps.
+
+    The scan it reproduces walks the vertices of the curve `heights` in
+    lexicographic order of their level orders and keeps a vertex only when its
+    heat is below the kept one's by more than 1e-12, so ties go to the first
+    order; `best` is what an earlier scan kept.
+
+    Bound.  With the energies sorted, E_(1) <= ... <= E_(d), the heat of q is
+    E_(d) - sum_k (E_(k+1) - E_(k)) Q_k - E.p, where Q_k is the population of
+    the k lowest levels, so each Q_k should be as large as possible.  Fixing a
+    prefix of the order at Gibbs mass X fixes its levels' populations; the
+    other levels follow the concave, non-decreasing curve g(x) = f(X + x) -
+    f(X).  By the subset lemma (`volume.region_masks`) levels T outside the
+    prefix hold at most g(gamma(T)), so Q_k is at most its prefix part plus g
+    of the Gibbs mass of its other levels.  Completing the prefix with the
+    remaining levels in ascending energy (stable) meets all of these bounds at
+    once, so that completion's heat is the least of any order below the
+    prefix; with an empty prefix it is the optimum.
+
+    Search.  Once the kept heat is within 1e-12 of the optimum no later order
+    can beat it, so the scan keeps the first order within 1e-12 of the
+    optimum that it reaches while its kept heat is still more than 1e-12
+    above that order's.  Descending through the first child whose bound is
+    within 1e-12 of the optimum finds that order, and the bounds of the
+    children passed on the way are the least heats of every order before it.
+    When they all lie more than 1e-12 above its heat, it is the answer.
+    Otherwise (near-ties only) the scan itself is walked depth first, each
+    level index in ascending order, pruning a prefix whose bound is not below
+    the kept heat by more than 1e-12 and stopping within 1e-12 of the optimum.
+
+    Every vertex comes from `_batch.order_vertices`, which already clamps at
+    +0.0 what the scan's `_simplex_rows` would clamp, and its heat from the
+    same `float(e @ (row - p))` as the scan's, so heats and decisions agree
+    bit for bit.  The two can differ only where a heat lies within rounding
+    of a 1e-12 threshold, or where an order whose vertex rounds (10 decimals)
+    to an earlier order's, and so is skipped by the scan, would beat it by
+    more than 1e-12.  Each node is one `order_vertices` call on at most d
+    completions.
+    """
+    gamma = spec.gibbs
+    e = np.asarray(spec.energies)
+    by_energy = np.argsort(e, kind="stable").tolist()
+
+    def below(prefix: list[int], rest: list[int], firsts: list[int]) -> list[tuple]:
+        """(r, order, vertex, heat) of the best completion of prefix + [r] for each r in firsts."""
+        if not firsts:
+            return []
+        perms = np.array([prefix + [r] + [i for i in by_energy if i in rest and i != r] for r in firsts])
+        rows = order_vertices(heights, gamma, perms)
+        return list(zip(firsts, perms, rows, [float(e @ row) for row in rows - probs]))
+
+    levels = list(range(probs.size))
+    first = by_energy[0]  # the root's completion through `first` is the ascending-energy order
+    current, *earlier = below([], levels, [first] + levels[:first])
+    near = current[3] + 1e-12
+    if best is not None and best[0] <= near:
+        return best
+    kept = math.inf if best is None else best[0]
+    prefix, rest = [], levels
+    while len(rest) > 1:
+        # the first child whose bound is within 1e-12 of the optimum: one of
+        # the children before the one the current completion continues with, or that one
+        for child in earlier:
+            if child[3] <= near:
+                current = child
+                break
+            kept = min(kept, child[3])
+        prefix = current[1][: len(prefix) + 1].tolist()
+        rest = [i for i in rest if i != prefix[-1]]
+        if len(rest) > 1:
+            nxt = int(current[1][len(prefix)])
+            earlier = below(prefix, rest, [i for i in rest if i < nxt])
+    _, order, row, heat = current
+    if heat < kept - 1e-12:
+        return heat, row, order
+
+    def visit(prefix: list[int], rest: list[int]) -> bool:
+        """Scan the orders below `prefix`; True once the kept heat is within 1e-12 of the optimum."""
+        nonlocal best
+        for r, perm, row, heat in below(prefix, rest, rest):
+            if best is not None and heat >= best[0] - 1e-12:
+                continue
+            if len(rest) > 2:
+                if visit(prefix + [r], [i for i in rest if i != r]):
+                    return True
+            else:
+                best = (heat, row, perm)
+                if heat <= near:
+                    return True
+        return False
+
+    visit([], levels)
+    return best
 
 
 def optimal_cooling(p, spec: EnergySpectrum, catalytic: bool = False) -> CoolingReport:
     """Minimise the heat exchange over the reachable extreme points.
 
-    The future cone is enumerated once, in one vectorised pass over every level
-    order (d <= 8), followed for the catalytic bound by the catalysable-future
-    vertices; with the bound a call takes about 3 ms at d = 6, 20 ms at d = 7 and
-    0.2 s at d = 8.  A later candidate must lower the heat by more than 1e-12,
-    so ties go to the lexicographically first order and reports are deterministic.
+    The future-cone vertex is found by a lexicographic branch-and-bound over
+    level orders (`_search`) that keeps what a scan of every vertex in
+    lexicographic order would: a later order must lower the heat by more than
+    1e-12, so ties go to the lexicographically first order and reports are
+    deterministic.  The catalytic bound continues the same scan over the
+    catalysable-future vertices.  No vertex set is enumerated, so there is no
+    cap on d.  A search descends one level of the order per vectorised call
+    on at most d orders (near-ties walk more of the tree); with the bound a
+    call takes about 0.3-1.3 ms at d = 3..10.
     """
     probs = _probs(p)
-    orders, rows = _future_rows(probs, spec)
-    n_future = len(orders)
-    if catalytic:
-        c_orders, c_rows = _c_plus_rows(probs, spec)
-        orders, rows = np.vstack((orders, c_orders)), np.vstack((rows, c_rows))
-    e = np.asarray(spec.energies)
-    # one dot per row, as in heat_exchange: a matrix-vector product rounds differently
-    heats = [float(e @ row) for row in rows - probs]
-    k = _lowest(heats[:n_future])
-    report = CoolingReport(q_c=heats[k], target=Dist(rows[k]), order=tuple(orders[k].tolist()))
+    heat, row, order = _search(_curve_heights(probs, spec), probs, spec)
+    report = CoolingReport(q_c=heat, target=Dist(row), order=tuple(order.tolist()))
     if not catalytic:
         return report
-    k = _lowest(heats)
-    return replace(
-        report, q_c_catalytic=heats[k], target_catalytic=Dist(rows[k]), order_catalytic=tuple(orders[k].tolist())
-    )
+    heat, row, order = _search(_c_plus_heights(probs, spec), probs, spec, (heat, row, order))
+    return replace(report, q_c_catalytic=heat, target_catalytic=Dist(row), order_catalytic=tuple(order.tolist()))
 
 
 def _check_equidistant(spec: EnergySpectrum) -> None:

@@ -282,9 +282,17 @@ def tm_curve(p, spec: EnergySpectrum, order=None) -> TMCurve:
     """Thermomajorisation curve of `p` against the Gibbs weights of `spec`.
 
     Without `order` the beta-order of `p` is used; `p` must then be a proper
-    distribution and the result is checked to be concave.  Quasi-distributions
+    distribution and the result is concave (see below).  Quasi-distributions
     (e.g. tangent vectors) must supply their level order explicitly, and the
     resulting curve may be non-concave.
+
+    On the beta-ordered path the curve is concave in exact arithmetic, but a
+    level whose Gibbs weight is within a few ulps of its running sum leaves a
+    gap so narrow that rounding in the heights can break concavity by more
+    than EPS_SLOPE.  Such a curve is replaced by the upper hull of its knots
+    (`_upper_hull`), which moves no height by more than that rounding; every
+    other curve is returned unchanged.  A weight lost to rounding altogether
+    repeats an abscissa, which is still refused.
     """
     if order is None:
         probs = _probs(p)
@@ -301,10 +309,30 @@ def tm_curve(p, spec: EnergySpectrum, order=None) -> TMCurve:
     xs[-1] = 1.0
     ys[-1] = 1.0
     if check_concave:
-        slopes = np.diff(ys) / np.diff(xs)
-        if np.any(np.diff(slopes) > EPS_SLOPE):
-            raise RuntimeError("non-concave curve from a beta-ordered distribution")
+        dx = np.diff(xs)
+        if np.any(np.diff(np.diff(ys) / dx) > EPS_SLOPE):
+            if np.any(dx <= 0.0):
+                raise RuntimeError("non-concave curve from a beta-ordered distribution")
+            xs, ys = _upper_hull(xs, ys)
     return TMCurve(xs, ys)
+
+
+def _upper_hull(xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Knots of the upper hull of a curve's knots, whose abscissae increase strictly.
+
+    A knot is dropped when the slope rises after it by more than EPS_SLOPE.
+    The slopes are computed as `tm_curve` computes them, so what is left
+    passes its concavity test.
+    """
+    keep = [0]
+    for i in range(1, xs.size):
+        while len(keep) > 1:
+            a, b = keep[-2], keep[-1]
+            if (ys[i] - ys[b]) / (xs[i] - xs[b]) - (ys[b] - ys[a]) / (xs[b] - xs[a]) <= EPS_SLOPE:
+                break
+            keep.pop()
+        keep.append(i)
+    return xs[keep], ys[keep]
 
 
 def curve_eval(curve: TMCurve, x):

@@ -119,7 +119,7 @@ def _cn_mask(samples: np.ndarray, gamma: np.ndarray) -> np.ndarray:
 
     def chord(xs: np.ndarray, x0: np.float64) -> np.ndarray:
         # the curve through (xs, h(xs)) at x0, with the segment choice of `eval_rows_at`
-        j = min(max(int((xs <= x0 + 1e-15).sum()) - 1, 0), xs.size - 2)
+        j = min(max(int((xs <= x0 + 1e-15 * x0).sum()) - 1, 0), xs.size - 2)
         lo, hi = xs[j], xs[j + 1]
         if (lo, hi, x0) not in chords:
             for x in (lo, hi):

@@ -216,3 +216,18 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.err == "error: RuntimeError: non-concave curve from a beta-ordered distribution\n"
         assert captured.out == ""
+
+
+def test_catalytic_cooling_accepts_ten_levels(tmp_path):
+    # above the enumeration cap (d = 8): the search needs no vertex set
+    populations = [0.03, 0.04, 0.05, 0.07, 0.09, 0.1, 0.12, 0.14, 0.17, 0.19]  # hot: most on top
+    doc = {"energies": [0.1 * k for k in range(10)], "beta": 0.7, "state": populations}
+    path = tmp_path / "cool10.json"
+    path.write_text(json.dumps(doc))
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        assert run(["cooling", "--input", str(path), "--catalytic"]) == 0
+    out = json.loads(buf.getvalue())
+    assert len(out["target"]) == len(out["target_catalytic"]) == 10
+    assert out["order"].count(",") == out["order_catalytic"].count(",") == 9
+    assert out["q_c_catalytic_bound"] <= out["q_c"] < 0.0

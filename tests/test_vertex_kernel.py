@@ -200,3 +200,30 @@ class TestPermMatrix:
     def test_refused_above_cap(self):
         with pytest.raises(ValueError, match="enumeration cap"):
             perm_matrix(9)
+
+
+def _ref_cooling_cases():
+    rng = np.random.default_rng(8)
+    cases = []
+    for d in (6, 7):
+        for name, energies, beta in (
+            ("equal", np.zeros(d), 0.0),
+            ("paired", _spectrum("paired", d, rng), 0.0),
+            ("unsorted", _spectrum("unsorted", d, rng), 0.7),
+        ):
+            spec = EnergySpectrum(tuple(energies), beta)
+            for state in ("full_rank", "rank_deficient") if d == 6 else ("full_rank",):
+                cases.append(pytest.param(_state(state, spec, rng), spec, id=f"d{d}-{name}-{state}"))
+    # one d = 8 case: the per-order loop takes seconds there; tests/test_cooling_search.py
+    # checks more d = 8 cases against the vectorised enumeration
+    spec = EnergySpectrum(tuple(_spectrum("paired", 8, rng)), 0.0)
+    cases.append(pytest.param(_state("full_rank", spec, rng), spec, id="d8-paired-full_rank"))
+    return cases
+
+
+@pytest.mark.parametrize("p,spec", _ref_cooling_cases())
+def test_optimal_cooling_matches_greedy_scan_at_higher_d(p, spec):
+    want, want_cat = ref_cooling(p, spec)
+    report = optimal_cooling(p, spec, catalytic=True)
+    _same_pick(report.q_c, report.target, report.order, want)
+    _same_pick(report.q_c_catalytic, report.target_catalytic, report.order_catalytic, want_cat)
