@@ -93,8 +93,8 @@ def batch_curves(samples: np.ndarray, gamma: np.ndarray) -> tuple[np.ndarray, np
     return xs, ys
 
 
-def eval_rows_at(xs: np.ndarray, ys: np.ndarray, x0: float) -> np.ndarray:
-    """Evaluate every row's piecewise-linear curve at the scalar abscissa x0.
+def segment_index(xs: np.ndarray, x0: float) -> np.ndarray:
+    """Index of the segment holding the abscissa x0 in each row of knots `xs` (last axis).
 
     A knot above x0 by at most 1e-15 relative counts as reached, so x0 read
     off a subset sum rounded differently still lands on that knot's segment.
@@ -102,8 +102,12 @@ def eval_rows_at(xs: np.ndarray, ys: np.ndarray, x0: float) -> np.ndarray:
     lie on segments with slopes near 1/gamma, where an absolute slack would
     skip whole segments.
     """
-    nseg = xs.shape[1] - 1
-    j = np.clip((xs <= x0 + 1e-15 * x0).sum(axis=1) - 1, 0, nseg - 1)
+    return np.clip((xs <= x0 + 1e-15 * x0).sum(axis=-1) - 1, 0, xs.shape[-1] - 2)
+
+
+def eval_rows_at(xs: np.ndarray, ys: np.ndarray, x0: float) -> np.ndarray:
+    """Evaluate every row's piecewise-linear curve at the scalar abscissa x0 (`segment_index`)."""
+    j = segment_index(xs, x0)
     rows = np.arange(xs.shape[0])
     x_lo = xs[rows, j]
     x_hi = xs[rows, j + 1]

@@ -62,12 +62,13 @@ def heat_exchange(p, q, spec: EnergySpectrum) -> float:
 
 
 def _search(heights, probs: np.ndarray, spec: EnergySpectrum, best: tuple | None = None) -> tuple:
-    """(heat, vertex, order) that a lexicographic scan over every level order keeps.
+    """(heat, vertex, order) that a lexicographic scan over the distinct vertices keeps.
 
     The scan it reproduces walks the vertices of the curve `heights` in
-    lexicographic order of their level orders and keeps a vertex only when its
-    heat is below the kept one's by more than 1e-12, so ties go to the first
-    order; `best` is what an earlier scan kept.
+    lexicographic order of their level orders, skipping an order whose vertex
+    equals an earlier order's to 10 decimals (`_batch.distinct_vertices`), and
+    keeps a vertex only when its heat is below the kept one's by more than
+    1e-12, so ties go to the first order; `best` is what an earlier scan kept.
 
     Bound.  With the energies sorted, E_(1) <= ... <= E_(d), the heat of q is
     E_(d) - sum_k (E_(k+1) - E_(k)) Q_k - E.p, where Q_k is the population of
@@ -85,21 +86,18 @@ def _search(heights, probs: np.ndarray, spec: EnergySpectrum, best: tuple | None
     can beat it, so the scan keeps the first order within 1e-12 of the
     optimum that it reaches while its kept heat is still more than 1e-12
     above that order's.  Descending through the first child whose bound is
-    within 1e-12 of the optimum finds that order, and the bounds of the
-    children passed on the way are the least heats of every order before it.
-    When they all lie more than 1e-12 above its heat, it is the answer.
-    Otherwise (near-ties only) the scan itself is walked depth first, each
-    level index in ascending order, pruning a prefix whose bound is not below
-    the kept heat by more than 1e-12 and stopping within 1e-12 of the optimum.
+    within 1e-12 of the optimum finds the first such order, and the bounds of
+    the children passed on the way are the least heats of every order before
+    it.  When they all lie more than 1e-12 above its heat and the scan sees
+    the order (`_seen_by_scan`), it is the answer.  Otherwise (near-ties
+    only) the scan itself is walked depth first (`_walk`).
 
     Every vertex comes from `_batch.order_vertices`, which already clamps at
     +0.0 what the scan's `_simplex_rows` would clamp, and its heat from the
     same `float(e @ (row - p))` as the scan's, so heats and decisions agree
     bit for bit.  The two can differ only where a heat lies within rounding
-    of a 1e-12 threshold, or where an order whose vertex rounds (10 decimals)
-    to an earlier order's, and so is skipped by the scan, would beat it by
-    more than 1e-12.  Each node is one `order_vertices` call on at most d
-    completions.
+    of a 1e-12 threshold.  Each node is one `order_vertices` call on at most
+    d completions.
     """
     gamma = spec.gibbs
     e = np.asarray(spec.energies)
@@ -120,6 +118,7 @@ def _search(heights, probs: np.ndarray, spec: EnergySpectrum, best: tuple | None
     if best is not None and best[0] <= near:
         return best
     kept = math.inf if best is None else best[0]
+    passed = []
     prefix, rest = [], levels
     while len(rest) > 1:
         # the first child whose bound is within 1e-12 of the optimum: one of
@@ -129,32 +128,102 @@ def _search(heights, probs: np.ndarray, spec: EnergySpectrum, best: tuple | None
                 current = child
                 break
             kept = min(kept, child[3])
+            passed.append(child)
         prefix = current[1][: len(prefix) + 1].tolist()
         rest = [i for i in rest if i != prefix[-1]]
         if len(rest) > 1:
             nxt = int(current[1][len(prefix)])
             earlier = below(prefix, rest, [i for i in rest if i < nxt])
     _, order, row, heat = current
-    if heat < kept - 1e-12:
+    seen = _seen_by_scan(heights, gamma)
+    # an earlier order branches off this one through a passed child and gives the child's level
+    # that child's population; two values equal to 10 decimals lie within 1e-10 of each other,
+    # so unless one such population is within 2e-10 of this row's, the scan sees this order
+    if heat < kept - 1e-12 and (all(abs(c[2][c[0]] - row[c[0]]) > 2e-10 for c in passed) or seen(order, row)):
         return heat, row, order
+    return _walk(below, seen, gamma, near, best)
+
+
+def _walk(below, seen, gamma: np.ndarray, near: float, best: tuple | None) -> tuple:
+    """The scan itself, depth first: each level index in ascending order.
+
+    A prefix is pruned when its bound is not below the kept heat by more than
+    1e-12, and the walk stops once the kept heat is `near` the optimum.  An
+    order that would be kept must be one the scan sees (`_seen_by_scan`).
+    Near-equal vertices make many orders ones it does not see; a prefix is
+    then skipped when a lexicographically earlier one holds the same levels
+    at the same rounded populations and reaches the same knot: every
+    completion gives both the same rounded vertex, so the scan sees none of
+    the later prefix's.
+    """
+    d = gamma.size
+    first_of: dict[tuple, list[int]] = {}
 
     def visit(prefix: list[int], rest: list[int]) -> bool:
-        """Scan the orders below `prefix`; True once the kept heat is within 1e-12 of the optimum."""
+        """Scan the orders below `prefix`; True once the kept heat is `near` the optimum."""
         nonlocal best
-        for r, perm, row, heat in below(prefix, rest, rest):
-            if best is not None and heat >= best[0] - 1e-12:
+        children = below(prefix, rest, rest)
+        knots = np.cumsum(gamma[np.array([perm for _, perm, _, _ in children])], axis=1)[:, len(prefix)]
+        for (r, perm, row, heat), knot in zip(children, knots):
+            # a leaf's whole order (its last level is forced) and its rounded vertex
+            head = perm[: len(prefix) + 1].tolist() if len(rest) > 2 else perm.tolist()
+            levels = sorted(head)
+            key = (tuple(levels), tuple(np.round(row[levels], 10) + 0.0), float(knot) if len(rest) > 2 else None)
+            if first_of.setdefault(key, head) < head or best is not None and heat >= best[0] - 1e-12:
                 continue
             if len(rest) > 2:
-                if visit(prefix + [r], [i for i in rest if i != r]):
+                if visit(head, [i for i in rest if i != r]):
                     return True
-            else:
+            elif seen(perm, row):
                 best = (heat, row, perm)
                 if heat <= near:
                     return True
         return False
 
-    visit([], levels)
+    visit([], list(range(d)))
     return best
+
+
+def _seen_by_scan(heights, gamma: np.ndarray):
+    """A test seen(order, row): no order before `order` has a vertex equal to `row` at 10 decimals.
+
+    An order's population at position k depends only on its first k + 1
+    levels, so orders are grown one level at a time, keeping a level only
+    while its population rounds to `row`'s.  Orders before `order` branch off
+    it at some k with a smaller level; the first step tries every such
+    branch.  Whether a prefix can still reach the rounded vertex depends only
+    on its levels and its knot, so each such state is decided once per test
+    function.
+    """
+    d = gamma.size
+    reaches: dict[tuple, bool] = {}
+
+    def seen(order: np.ndarray, row: np.ndarray) -> bool:
+        key = np.round(row, 10) + 0.0
+
+        def grow(prefixes: list[list[int]]) -> list[tuple]:
+            """(prefix, state) of the prefixes whose last level's population rounds to `key`'s."""
+            perms = np.array([p + [i for i in range(d) if i not in p] for p in prefixes])
+            at = (np.arange(len(perms)), np.array([len(p) - 1 for p in prefixes]))
+            pops = np.round(order_vertices(heights, gamma, perms)[at[0], perms[at]], 10)
+            knots = np.cumsum(gamma[perms], axis=1)[at].tolist()
+            return [
+                (p, (key.tobytes(), frozenset(p), x))
+                for p, pop, x in zip(prefixes, pops, knots)
+                if pop == key[p[-1]]
+            ]
+
+        def completes(prefix: list[int], state: tuple) -> bool:
+            if len(prefix) == d:
+                return True
+            if state not in reaches:
+                reaches[state] = any(completes(*c) for c in grow([prefix + [i] for i in range(d) if i not in prefix]))
+            return reaches[state]
+
+        branches = [order[:k].tolist() + [i] for k in range(d - 1) for i in order[k + 1 :].tolist() if i < order[k]]
+        return not (branches and any(completes(*c) for c in grow(branches)))
+
+    return seen
 
 
 def optimal_cooling(p, spec: EnergySpectrum, catalytic: bool = False) -> CoolingReport:
@@ -167,8 +236,13 @@ def optimal_cooling(p, spec: EnergySpectrum, catalytic: bool = False) -> Cooling
     deterministic.  The catalytic bound continues the same scan over the
     catalysable-future vertices.  No vertex set is enumerated, so there is no
     cap on d.  A search descends one level of the order per vectorised call
-    on at most d orders (near-ties walk more of the tree); with the bound a
-    call takes about 0.3-1.3 ms at d = 3..10.
+    on at most d orders; with the bound a call takes about 0.2-0.6 ms at
+    d = 3..6 and 0.4-1.7 ms at d = 7..10.  Near-ties walk more of the tree.
+    The slowest are states within about 1e-10 of a straight curve (near
+    Gibbs), whose vertices mostly agree to 10 decimals: the walk must show
+    that the many orders the scan skips as repeats hold nothing better, which
+    takes about 2-30 ms at d = 4..7, 0.1-0.3 s at d = 8 and up to 2 s at
+    d = 10.
     """
     probs = _probs(p)
     heat, row, order = _search(_curve_heights(probs, spec), probs, spec)

@@ -42,6 +42,7 @@ EPS_SUM = 1e-9     # normalisation slack on probability vectors
 EPS_NEG = 1e-12    # negative entries up to this magnitude are clamped to 0
 EPS_CMP = 1e-10    # absolute tolerance when comparing curve heights
 EPS_SLOPE = 1e-10  # concavity tolerance on consecutive segment slopes
+HULL_SLACK = 4 * np.finfo(float).eps  # height a beta-ordered knot may lie off its curve's hull
 MAX_ENUM_DIM = 8   # hard cap for permutation-enumerating operations (8! = 40320)
 
 
@@ -290,9 +291,10 @@ def tm_curve(p, spec: EnergySpectrum, order=None) -> TMCurve:
     level whose Gibbs weight is within a few ulps of its running sum leaves a
     gap so narrow that rounding in the heights can break concavity by more
     than EPS_SLOPE.  Such a curve is replaced by the upper hull of its knots
-    (`_upper_hull`), which moves no height by more than that rounding; every
-    other curve is returned unchanged.  A weight lost to rounding altogether
-    repeats an abscissa, which is still refused.
+    (`_upper_hull`) when every knot lies within HULL_SLACK of the hull; every
+    other curve is returned unchanged.  A curve that breaks concavity by more
+    than that, or repeats an abscissa (a weight lost to rounding altogether),
+    is refused.
     """
     if order is None:
         probs = _probs(p)
@@ -311,9 +313,10 @@ def tm_curve(p, spec: EnergySpectrum, order=None) -> TMCurve:
     if check_concave:
         dx = np.diff(xs)
         if np.any(np.diff(np.diff(ys) / dx) > EPS_SLOPE):
-            if np.any(dx <= 0.0):
+            hull = _upper_hull(xs, ys) if np.all(dx > 0.0) else None
+            if hull is None or np.any(np.abs(np.interp(xs, *hull) - ys) > HULL_SLACK):
                 raise RuntimeError("non-concave curve from a beta-ordered distribution")
-            xs, ys = _upper_hull(xs, ys)
+            xs, ys = hull
     return TMCurve(xs, ys)
 
 

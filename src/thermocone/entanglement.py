@@ -15,7 +15,7 @@ from itertools import permutations
 
 import numpy as np
 
-from ._batch import batch_curves, eval_rows_at
+from ._batch import batch_curves, eval_rows_at, segment_index
 from .catalysis import c_plus_vertices, tangent_bound_curve
 from .cones import future_cone_vertices, vertex_for_order
 from .core import Dist, EnergySpectrum, EPS_CMP, _probs
@@ -118,8 +118,8 @@ def _cn_mask(samples: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     chords = {}  # the curve at a probe, keyed by the segment's two knots and the probe
 
     def chord(xs: np.ndarray, x0: np.float64) -> np.ndarray:
-        # the curve through (xs, h(xs)) at x0, with the segment choice of `eval_rows_at`
-        j = min(max(int((xs <= x0 + 1e-15 * x0).sum()) - 1, 0), xs.size - 2)
+        # the curve through (xs, h(xs)) at x0, on the segment `eval_rows_at` reads
+        j = int(segment_index(xs, x0))
         lo, hi = xs[j], xs[j + 1]
         if (lo, hi, x0) not in chords:
             for x in (lo, hi):

@@ -18,6 +18,8 @@ from thermocone import (
     Dist,
     EnergySpectrum,
     c_plus_vertex,
+    c_plus_vertices,
+    future_cone_vertices,
     heat_exchange,
     optimal_cooling,
     thermo_majorizes,
@@ -138,6 +140,44 @@ def test_random_near_ties_equal_the_enumeration():
         spec = EnergySpectrum(tuple(e), float(rng.choice([0.0, 1.0])))
         p = rng.dirichlet(np.ones(d))
         assert fields(optimal_cooling(p, spec, catalytic=True)) == enum_cooling(p, spec)
+
+
+def test_near_equal_vertices_keep_the_first_order_of_their_rounded_row():
+    # both orders give (0.5, 0.5) to 10 decimals: the scan only sees (0, 1), at
+    # heat 0, although (1, 0) puts 4e-11 more on the lower level
+    spec = EnergySpectrum((1.0, 0.0), 0.0)
+    p = (0.5 + 2e-11, 0.5 - 2e-11)
+    report = optimal_cooling(p, spec, catalytic=True)
+    assert fields(report) == enum_cooling(p, spec)
+    assert report.order == report.order_catalytic == (0, 1) and report.q_c == 0.0
+    assert heat_exchange(p, vertex_for_order(p, spec, (1, 0)), spec) < -1e-11
+
+
+def near_gibbs_cases(d, n):
+    rng = np.random.default_rng([13, d])
+    cases = []
+    for i in range(n):
+        spec = EnergySpectrum(tuple(energies(("unsorted", "integer")[i % 2], d, rng)), float(rng.choice([0.0, 0.3, 1.0, 3.0])))
+        scale = float(rng.choice([1e-12, 1e-11, 3e-11, 1e-10]))
+        dp = rng.normal(0.0, 1.0, d) if i % 3 else np.eye(d)[0] - np.eye(d)[1]
+        dp -= dp.mean()
+        p = spec.gibbs + scale * dp / np.abs(dp).max()
+        cases.append((p, spec))
+    return cases
+
+
+# states within 1e-10 of Gibbs: many orders give vertices equal to 10 decimals
+# with heats further apart than 1e-12, and the scan sees only the first of each
+@pytest.mark.parametrize("d,n", [(2, 40), (3, 40), (4, 40), (5, 30), (6, 12), (7, 4)])
+def test_near_gibbs_states_equal_the_enumeration(d, n):
+    for p, spec in near_gibbs_cases(d, n):
+        report = optimal_cooling(p, spec, catalytic=True)
+        assert fields(report) == enum_cooling(p, spec)
+        future = future_cone_vertices(p, spec).vertices
+        assert report.target.probs.tobytes() == future[report.order].probs.tobytes()
+        c_plus = c_plus_vertices(p, spec).vertices
+        kept = [cv[report.order_catalytic].probs.tobytes() for cv in (future, c_plus) if report.order_catalytic in cv]
+        assert report.target_catalytic.probs.tobytes() in kept
 
 
 @pytest.mark.parametrize("d", [9, 10])

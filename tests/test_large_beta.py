@@ -20,7 +20,8 @@ from thermocone import (
     tangent_bound_curve,
     tm_curve,
 )
-from thermocone._batch import eval_rows_at
+from thermocone import core
+from thermocone._batch import eval_rows_at, segment_index
 from thermocone.core import EPS_SLOPE
 
 from test_cooling_search import enum_cooling, fields
@@ -64,6 +65,21 @@ def test_ordinary_curves_are_unchanged():
         assert curve.xs.tobytes() == xs.tobytes() and curve.ys.tobytes() == ys.tobytes()
 
 
+def test_clearly_non_concave_beta_ordered_curve_is_still_refused(monkeypatch):
+    # a slope order turned upside down gives a convex curve: a fault, not rounding
+    slope_order = core._slope_order
+
+    def upside_down(probs, gamma):
+        ratios, order = slope_order(probs, gamma)
+        return ratios, order[::-1]
+
+    monkeypatch.setattr(core, "_slope_order", upside_down)
+    with pytest.raises(RuntimeError, match="non-concave"):
+        tm_curve((0.5, 0.3, 0.2), EnergySpectrum((0.0, 1.0, 2.0), 1.0))
+    with pytest.raises(RuntimeError, match="non-concave"):
+        tm_curve(P_NARROW, NARROW)
+
+
 def test_weight_lost_to_rounding_is_still_refused():
     # 1 - 8.7e-27 rounds to 1: the curve would repeat its last abscissa
     spec = EnergySpectrum((0.0, 1.0, 2.0), 30.0)
@@ -98,3 +114,11 @@ def test_eval_rows_at_reads_knots_below_the_old_absolute_slack():
     ys = np.array([[0.0, 0.565, 0.635, 0.651, 1.0]])
     for x0, y0 in zip(xs[0], ys[0]):
         assert eval_rows_at(xs, ys, float(x0))[0] == pytest.approx(y0, abs=1e-15)
+
+
+def test_segment_index_reads_one_row_as_it_reads_the_matrix():
+    xs = np.array([[0.0, 1.8e-40, 4.0e-27, 7.9e-12, 1.0], [0.0, 0.2, 0.5, 0.5 + 1e-16, 1.0]])
+    for x0 in (0.0, 1.8e-40, 4.0e-27 * (1 - 1e-16), 0.2, 0.5, 0.5 + 1e-16, 0.7, 1.0):
+        both = segment_index(xs, x0)
+        assert [int(segment_index(row, x0)) for row in xs] == both.tolist()
+        assert np.all((0 <= both) & (both <= xs.shape[1] - 2))
