@@ -78,6 +78,33 @@ def subset_masses(cols: np.ndarray) -> np.ndarray:
     return out[1:-1]
 
 
+def conjugate_rows(cols: np.ndarray, gamma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Slopes r_j = q_j / gamma_j and conjugates phi_q(r_j) of each column q of the (d, n) array `cols`.
+
+    phi_q(r) = sum_i max(q_i - r gamma_i, 0).  Both results are (d, n), so
+    each row's curve reads, with no sort, as
+
+        c_q(x) = min(1, min_j [r_j x + phi_q(r_j)])   for x in [0, 1].
+
+    Proof.  c_q(x) is the fractional knapsack max { q.w : gamma.w <= x,
+    0 <= w <= 1 }: the greedy fill by falling slope q_i / gamma_i traces
+    exactly the knots of the beta-ordered curve.  Its LP dual is
+    min over r >= 0 of r x + phi_q(r), with equal value (strong duality; both
+    sides are feasible and bounded).  r x + phi_q(r) is piecewise linear in r
+    with breakpoints at the r_j and slope x - gamma({i : r_i > r}), which
+    rises with r (convex) and is x >= 0 beyond max_j r_j; so its minimum over
+    r >= 0 sits at r = 0, where it is sum_i q_i = 1, or at a breakpoint.
+    """
+    r = cols / gamma[:, None]
+    phi = np.zeros_like(r)
+    term = np.empty_like(r)  # q_i - r gamma_i, summed as (-gamma_i) r + q_i: the same doubles
+    for g, q in zip(-gamma, cols):
+        np.multiply(r, g, out=term)
+        term += q
+        phi += np.maximum(term, 0.0, out=term)
+    return r, phi
+
+
 def batch_curves(samples: np.ndarray, gamma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Knot matrices (X, Y) of every row's curve, including the (0,0) knot."""
     ratios = samples / gamma
@@ -106,7 +133,11 @@ def segment_index(xs: np.ndarray, x0: float) -> np.ndarray:
 
 
 def eval_rows_at(xs: np.ndarray, ys: np.ndarray, x0: float) -> np.ndarray:
-    """Evaluate every row's piecewise-linear curve at the scalar abscissa x0 (`segment_index`)."""
+    """Evaluate every row's piecewise-linear curve at the scalar abscissa x0 (`segment_index`).
+
+    No library path calls it: the masks read curves through `conjugate_rows`.
+    It stays as the sorted-curve oracle the tests compare them with.
+    """
     j = segment_index(xs, x0)
     rows = np.arange(xs.shape[0])
     x_lo = xs[rows, j]
@@ -148,7 +179,11 @@ def rows_dominate_rows(
 
 
 def rows_dominate_fixed(xs: np.ndarray, ys: np.ndarray, curve: TMCurve, tol: float = EPS_CMP) -> np.ndarray:
-    """Mask of rows whose curve lies everywhere above the fixed curve."""
+    """Mask of rows whose curve lies everywhere above the fixed curve.
+
+    The test oracle of the past (`volume._Chunk.above`), which reads the same
+    check off `conjugate_rows` with no sort; no library path calls it.
+    """
     ok = np.all(ys >= np.interp(xs, curve.xs, curve.ys) - tol, axis=1)
     for x0, y0 in zip(curve.xs[1:-1], curve.ys[1:-1]):
         ok &= eval_rows_at(xs, ys, float(x0)) >= y0 - tol

@@ -15,7 +15,7 @@ from itertools import permutations
 
 import numpy as np
 
-from ._batch import batch_curves, eval_rows_at, segment_index
+from ._batch import conjugate_rows, segment_index
 from .catalysis import c_plus_vertices, tangent_bound_curve
 from .cones import future_cone_vertices, vertex_for_order
 from .core import Dist, EnergySpectrum, EPS_CMP, _probs
@@ -58,40 +58,31 @@ def unitary_entanglable(p) -> bool:
     return bool(value < -EPS_CMP)
 
 
-def _canonical(probs: np.ndarray) -> np.ndarray:
-    # the degenerate middle levels are exchangeable; order them descending
-    if probs[2] > probs[1]:
-        out = probs.copy()
-        out[1], out[2] = probs[2], probs[1]
-        return out
-    return probs
-
-
 def in_TN(p, cfg: TwoQubitConfig) -> bool:
     """True iff no thermal operation can make the state entanglable.
 
-    Decided by the single future extreme point with the decisive level order,
-    after canonicalising the degenerate middle pair.
+    Decided by the single future extreme point with the decisive level order.
+    Which of the degenerate middle pair holds more does not matter (`_tn_mask`).
     """
-    probs = _canonical(_probs(p))
-    vertex = vertex_for_order(probs, cfg.spectrum(), _DECISIVE_ORDER)
+    vertex = vertex_for_order(p, cfg.spectrum(), _DECISIVE_ORDER)
     return not unitary_entanglable(vertex)
 
 
 def _tn_mask(samples: np.ndarray, gamma: np.ndarray) -> np.ndarray:
-    swap = samples[:, 2] > samples[:, 1]
-    canon = samples.copy()
-    canon[swap, 1], canon[swap, 2] = samples[swap, 2], samples[swap, 1]
-    xs, ys = batch_curves(canon, gamma)
-    g2, g1, g3 = gamma[1], gamma[0], gamma[2]
-    f1 = eval_rows_at(xs, ys, float(g2))
-    f2 = eval_rows_at(xs, ys, float(g2 + g1))
-    f3 = eval_rows_at(xs, ys, float(g2 + g1 + g3))
-    w1 = f2 - f1
-    w2 = f1
-    w3 = f3 - f2
-    w4 = 1.0 - f3
-    return 4.0 * w1 * w4 - (w2 - w3) ** 2 >= -EPS_CMP
+    """Rows of `samples` that `in_TN` accepts, read off each row's curve with no sort.
+
+    The decisive extreme point's populations are the increments of the row's
+    curve c_q at the abscissae cumsum(gamma[_DECISIVE_ORDER]), and c_q there
+    is min(1, min_j [r_j x + phi_q(r_j)]) (`conjugate_rows`).  No swap of the
+    degenerate middle pair is needed: c_q depends only on the multiset of
+    pairs {(q_i, gamma_i)}, the greedy fill by falling q_i / gamma_i, and the
+    two middle levels have equal gamma, so swapping their populations leaves
+    that multiset, and c_q, unchanged.
+    """
+    r, phi = conjugate_rows(np.ascontiguousarray(samples.T), gamma)
+    probes = np.cumsum(gamma[list(_DECISIVE_ORDER)])[:3]
+    f1, f2, f3 = (np.minimum((r * x0 + phi).min(axis=0), 1.0) for x0 in probes)
+    return 4.0 * (f2 - f1) * (1.0 - f3) - (f1 - (f3 - f2)) ** 2 >= -EPS_CMP
 
 
 def _cn_mask(samples: np.ndarray, gamma: np.ndarray) -> np.ndarray:
@@ -103,11 +94,9 @@ def _cn_mask(samples: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     and the heights h(x) = min(s_1 x, 1 - s_d (1 - x), 1) there (s_1, s_d the
     row's largest and smallest slope).  h is concave and non-decreasing, so the
     point's populations are non-negative, its slopes fall along pi and its
-    thermomajorisation curve is the chord through those knots.  `_tn_mask`
-    first swaps the two degenerate middle levels into descending order; that
-    swap exchanges two equal Gibbs weights, so it leaves the knots, and the
-    curve, unchanged.  The curve is therefore read directly at the three
-    abscissae of the decisive order, with no vertex built and no row sorted;
+    thermomajorisation curve is the chord through those knots.  That curve is
+    therefore read directly at the three abscissae of the decisive order, as
+    `_tn_mask` reads a row's curve, with no vertex built and no row sorted;
     its increments between them are the decisive point's populations.
     Heights and chords are cached by their abscissae, so orders that share a
     knot or a segment reuse one array, equal to what a fresh evaluation gives.
@@ -118,7 +107,7 @@ def _cn_mask(samples: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     chords = {}  # the curve at a probe, keyed by the segment's two knots and the probe
 
     def chord(xs: np.ndarray, x0: np.float64) -> np.ndarray:
-        # the curve through (xs, h(xs)) at x0, on the segment `eval_rows_at` reads
+        # the curve through (xs, h(xs)) at x0, on the segment `segment_index` picks
         j = int(segment_index(xs, x0))
         lo, hi = xs[j], xs[j + 1]
         if (lo, hi, x0) not in chords:
@@ -150,7 +139,8 @@ def in_CN(p, cfg: TwoQubitConfig, samples: int = 20_000, seed: int = DEFAULT_SEE
 
     One-sided numeric classifier (sound when False): every extreme point of
     the future and catalysable-future regions is screened, then rejection
-    samples from the joint region are re-screened through `in_TN`.
+    samples from the joint region are re-screened as `in_TN` would, by
+    `_tn_mask`, which sorts no sample.
     """
     probs = _probs(p)
     spec = cfg.spectrum()
@@ -191,7 +181,9 @@ def volume_ratio_CN_TN(
 ) -> tuple[VolumeEstimate, VolumeEstimate, float]:
     """Relative volumes of the catalytically and thermally non-entanglable sets.
 
-    Classifies uniform simplex samples with the vertex test; returns
+    Classifies uniform simplex samples with `_tn_mask` (each sample's curve
+    read at the decisive abscissae through `conjugate_rows`) and the vertex
+    test `_cn_mask`, neither of which sorts a sample; returns
     (V_TN, V_CN, V_CN/V_TN).  The ratio is nan when no sample lands in the
     thermally non-entanglable set.
     """

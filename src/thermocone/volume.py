@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._batch import batch_curves, rows_dominate_fixed, subset_masses
+from ._batch import batch_curves, conjugate_rows, subset_masses
 from .catalysis import tangent_bound_curve
 from .core import EPS_CMP, EnergySpectrum, TMCurve, _matched_gibbs, _probs, tm_curve
 
@@ -100,20 +100,20 @@ class _Chunk:
     `_SUBSET_DIM`, where 2^d - 2 subsets cost more than a sort, the family is
     each row's own knot subsets, read off its sorted curve.  Either family
     contains every row's knot subsets, which is all `under` needs (see
-    `region_masks`).  Masses are held as (subset, row), so tests over the
+    `region_masks`).  Each `under` call builds the family once for all the
+    groups it is given.  Masses are held as (subset, row), so tests over the
     subsets run along the long axis.
     """
 
-    def __init__(self, draws: np.ndarray, gamma: np.ndarray, share_curves: bool = False):
+    def __init__(self, draws: np.ndarray, gamma: np.ndarray):
         self.draws = draws
         self.gamma = gamma
         self.cols = np.ascontiguousarray(draws.T)
-        self.curves = batch_curves(draws, gamma) if share_curves or gamma.size > _SUBSET_DIM else None
 
     def _family(self):
         # (rows, masses on the family as (subset, row), abscissae) block by block
         if self.gamma.size > _SUBSET_DIM:
-            xs, ys = self.curves
+            xs, ys = batch_curves(self.draws, self.gamma)
             yield slice(None), ys[:, 1:-1].T, xs[:, 1:-1].T
             return
         x = subset_masses(self.gamma[:, None])
@@ -146,9 +146,18 @@ class _Chunk:
     def above(self, curve: TMCurve, rows: np.ndarray) -> np.ndarray:
         """Rows, among `rows`, whose curve lies above `curve` (within EPS_CMP).
 
+        By `region_masks`, c_q >= c_p - EPS_CMP holds everywhere iff it holds
+        at each interior knot (x_k, y_k) of c_p = `curve`, and by
+        `conjugate_rows` c_q(x_k) = min(1, min_j [r_j x_k + phi_q(r_j)]).
+        The cap 1 >= y_k - EPS_CMP always holds, so a row is above iff
+        r_j x_k + phi_q(r_j) >= y_k - EPS_CMP for every level j and knot k.
+        Near that edge r_j x_k <= 1, and every unclamped term q_i - r_j gamma_i
+        lies in (0, q_i], so the left side is off by at most about (3d + 3)
+        ulps of 1 (under 1e-14 up to d = 8), as small as the sorted curve's
+        own interpolation error: only a row within that of the edge can be
+        classified otherwise than `rows_dominate_fixed` classifies it.
         A row's curve lies below its tangents min(s_1 x, 1 - s_d (1 - x)), so
-        rows whose tangents already fall short at one of `curve`'s knots are
-        dropped before the sorted curves are compared.
+        rows whose tangents already fall short at a knot are dropped first.
         """
         x = curve.xs[1:-1, None]
         s1, sd = self.slopes
@@ -156,11 +165,11 @@ class _Chunk:
         rows = rows & np.all(reach >= curve.ys[1:-1, None] - (EPS_CMP + _SLACK), axis=0)
         out = np.zeros(len(self.draws), dtype=bool)
         if rows.any():
-            if self.curves is None:
-                xs, ys = batch_curves(self.draws[rows], self.gamma)
-            else:
-                xs, ys = self.curves[0][rows], self.curves[1][rows]
-            out[rows] = rows_dominate_fixed(xs, ys, curve)
+            r, phi = conjugate_rows(self.cols[:, rows], self.gamma)
+            ok = np.ones(r.shape[1], dtype=bool)
+            for xk, yk in zip(curve.xs[1:-1], curve.ys[1:-1]):
+                ok &= np.all(r * xk + phi >= yk - EPS_CMP, axis=0)
+            out[rows] = ok
         return out
 
 
@@ -226,15 +235,21 @@ def region_masks(p, spec: EnergySpectrum, samples: np.ndarray) -> dict[str, np.n
     somewhere, the complement of a union, which no single threshold row
     describes, so it keeps the two masks.
 
-    The past (T-) asks the reverse, c_q >= c_p, which the lemma turns into a
-    check of c_q at the knots of c_p.  That needs each row's sorted curve.
+    The past (T-) asks the reverse, c_q >= c_p - EPS_CMP, and the same
+    argument with the roles swapped makes it a check at the knots of c_p:
+    between two consecutive knots c_p is linear and c_q is concave, so
+    c_q - c_p is concave there and takes its minimum at a knot, and at (0,0)
+    and (1,1) the curves meet.  c_q at a knot needs no sort either: by LP
+    duality (`conjugate_rows`) c_q(x) = min(1, min_j [r_j x + phi_q(r_j)]),
+    with r_j = q_j / gamma_j and phi_q(r) = sum_i max(q_i - r gamma_i, 0), so
+    each row needs its d values phi_q(r_j) and nothing else (`_Chunk.above`).
     Rows whose tangents min(s_1 x, 1 - s_d (1 - x)), which bound c_q from
     above, already fall short at a knot of c_p are dropped first.
     """
     probs = _probs(p)
     gamma = _matched_gibbs(spec, probs.size)
     bounds = _Bounds.of(probs, spec)
-    chunk = _Chunk(samples, gamma, share_curves=True)
+    chunk = _Chunk(samples, gamma)
     future, in_t1, in_td = chunk.under((bounds.curve,), (bounds.t1,), (bounds.td,))
     past = chunk.above(bounds.curve, np.ones(len(samples), dtype=bool))
     incomparable = ~future & ~past
@@ -309,8 +324,10 @@ def isovolume_grid(
     the grid maximum (all-zero grids are left at zero).  Grid states with an
     empty third population are included; they are valid non-full-rank states.
     Every grid point uses the same seed, so one pass over the draws serves
-    them all: each chunk's subset masses and sorted curves are built once and
-    each grid point counts its hits on them, as `mc_volume` would.
+    them all: each chunk's subset masses are built once, by one `under` call
+    that takes every grid point's curves, and each grid point counts its hits
+    on them, as `mc_volume` would; the past reads each candidate row's
+    conjugates (`conjugate_rows`), so no row is sorted.
     """
     if spec.d != 3:
         raise ValueError("isovolume grids are defined for three-level systems")
@@ -321,8 +338,11 @@ def isovolume_grid(
     bounds = [_Bounds.of(_probs((p1, p2, 1.0 - p1 - p2)), spec) for p1, p2 in grid]
 
     def hits(draws: np.ndarray) -> list[int]:
-        chunk = _Chunk(draws, spec.gibbs, share_curves=True)
-        return [int(b.region("C+", chunk).sum()) for b in bounds]
+        # the C+ of `_Bounds.region`, with every grid point's groups in one `under` call
+        chunk = _Chunk(draws, spec.gibbs)
+        masks = chunk.under(*(group for b in bounds for group in ((b.curve,), (b.t1, b.td))))
+        rows = [inside & ~future for future, inside in zip(masks[::2], masks[1::2])]
+        return [int((r & ~chunk.above(b.curve, r)).sum()) for b, r in zip(bounds, rows)]
 
     counts = [sum(c) for c in zip(*_over_chunks(3, n, seed, hits))]
     rows = [(p1, p2, c / n) for (p1, p2), c in zip(grid, counts)]
