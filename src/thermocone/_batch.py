@@ -9,12 +9,18 @@ order.  Semantics match the scalar functions in `core`/`catalysis` exactly
 
 from __future__ import annotations
 
+import math
+import mmap
+import threading
+from contextlib import contextmanager
 from functools import cache
 from itertools import permutations
 
 import numpy as np
 
 from .core import EPS_CMP, MAX_ENUM_DIM, TMCurve, _freeze, _simplex_rows
+
+_BLOCK_BYTES = 8 << 20  # scratch stack of a Monte-Carlo call (64 row vectors of a full chunk), a multiple of 2 MiB
 
 
 @cache
@@ -60,7 +66,78 @@ def distinct_vertices(heights, gamma: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return perms[keep], _simplex_rows(rows[keep])
 
 
-def subset_masses(cols: np.ndarray) -> np.ndarray:
+class Workspace(threading.local):
+    """Scratch memory that the chunks of one Monte-Carlo call reuse, taken as a stack.
+
+    `take(shape)` cuts an uninitialised array from the top of the stack, and
+    `with ws.frame():` gives back, on exit, everything taken inside it: an
+    array stays valid until the frame it was taken in ends, and a kernel
+    takes the arrays it returns before it opens its own frame.
+    `_over_chunks` runs each chunk in a frame, so every chunk of a call
+    writes its temporaries into the same memory instead of allocating fresh
+    chunk-sized arrays, which the allocator may hand back to the operating
+    system after every chunk and fault in again for the next.  Each thread
+    has its own stack, which lives as long as the workspace: callers make
+    one per call and share it with no other call.
+
+    The stack is a private anonymous mapping of `_BLOCK_BYTES` (more only if
+    a chunk needs more; arrays already taken keep the old one alive), which
+    the workspace unmaps when it goes: a call faults the pages it uses in
+    once, its memory never outlives it, and it never lands in the heap the
+    rest of the program allocates from.  The first 2 MiB, which a chunk of
+    a few levels nearly fills, is advised for a transparent huge page, one
+    fault instead of 512 where the kernel allows it; the rest stays in
+    4 KiB pages, so a call holds little more memory than its stack's depth.
+    """
+
+    def __init__(self):
+        self._block = np.empty(0, dtype=np.uint8)
+        self._top = 0  # bytes of the block in use
+
+    def take(self, shape: tuple[int, ...], dtype=float) -> np.ndarray:
+        dtype = np.dtype(dtype)
+        nbytes = math.prod(shape) * dtype.itemsize
+        start = self._top
+        self._top = start + -(-nbytes // 64) * 64
+        if self._top > self._block.size:
+            self._block = _mapping(max(self._top, _BLOCK_BYTES))
+        return self._block[start : start + nbytes].view(dtype).reshape(shape)
+
+    @contextmanager
+    def frame(self):
+        top = self._top
+        try:
+            yield
+        finally:
+            self._top = top
+
+
+class _Allocations:
+    """The workspace of a kernel called on its own: fresh arrays, and frames that give nothing back."""
+
+    take = staticmethod(np.empty)
+
+    @contextmanager
+    def frame(self):
+        yield
+
+
+FRESH = _Allocations()
+
+
+def _mapping(nbytes: int) -> np.ndarray:
+    # a fresh private anonymous mapping as bytes, unmapped once no array uses it
+    if not hasattr(mmap, "MAP_PRIVATE"):  # no POSIX mmap
+        return np.empty(nbytes, dtype=np.uint8)
+    buf = mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+    try:
+        buf.madvise(mmap.MADV_HUGEPAGE, 0, min(nbytes, 2 << 20))
+    except (AttributeError, OSError):  # no transparent huge pages here: 4 KiB pages
+        pass
+    return np.frombuffer(buf, dtype=np.uint8)
+
+
+def subset_masses(cols: np.ndarray, ws: Workspace = FRESH) -> np.ndarray:
     """Mass of each column of the (d, n) array `cols` on every nonempty proper level subset.
 
     Row k of the (2^d - 2, n) result belongs to the subset with bitmask k + 1
@@ -68,17 +145,38 @@ def subset_masses(cols: np.ndarray) -> np.ndarray:
     subsets whose highest level is b are those below 2^b plus level b, so d
     additions make every row.  No matrix product is used: one large enough
     goes through multithreaded BLAS, whose worker threads then spin on a
-    second core after the call returns.
+    second core after the call returns.  The result is taken from `ws`
+    (`Workspace`).
     """
     d, n = cols.shape
-    out = np.empty((1 << d, n))
+    out = ws.take((1 << d, n))
     out[0] = 0.0
     for b in range(d):
         np.add(out[: 1 << b], cols[b], out=out[1 << b : 2 << b])
     return out[1:-1]
 
 
-def conjugate_rows(cols: np.ndarray, gamma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def extreme_slopes(cols: np.ndarray, gamma: np.ndarray, ws: Workspace = FRESH) -> tuple[np.ndarray, np.ndarray]:
+    """Largest and smallest slope q_i / gamma_i of each column q of the (d, n) array `cols`.
+
+    Both are taken from `ws` (`Workspace`).  A maximum or minimum is exact,
+    so taking it level by level gives the doubles that `ratios.max(axis=0)`
+    and `ratios.min(axis=0)` give.
+    """
+    n = cols.shape[1]
+    s1, sd = ws.take((n,)), ws.take((n,))
+    np.divide(cols[0], gamma[0], out=s1)
+    sd[:] = s1
+    with ws.frame():
+        ratio = ws.take((n,))
+        for q, g in zip(cols[1:], gamma[1:]):
+            np.divide(q, g, out=ratio)
+            np.maximum(s1, ratio, out=s1)
+            np.minimum(sd, ratio, out=sd)
+    return s1, sd
+
+
+def conjugate_rows(cols: np.ndarray, gamma: np.ndarray, ws: Workspace = FRESH) -> tuple[np.ndarray, np.ndarray]:
     """Slopes r_j = q_j / gamma_j and conjugates phi_q(r_j) of each column q of the (d, n) array `cols`.
 
     phi_q(r) = sum_i max(q_i - r gamma_i, 0).  Both results are (d, n), so
@@ -94,14 +192,18 @@ def conjugate_rows(cols: np.ndarray, gamma: np.ndarray) -> tuple[np.ndarray, np.
     with breakpoints at the r_j and slope x - gamma({i : r_i > r}), which
     rises with r (convex) and is x >= 0 beyond max_j r_j; so its minimum over
     r >= 0 sits at r = 0, where it is sum_i q_i = 1, or at a breakpoint.
+
+    Both results are taken from `ws` (`Workspace`).
     """
-    r = cols / gamma[:, None]
-    phi = np.zeros_like(r)
-    term = np.empty_like(r)  # q_i - r gamma_i, summed as (-gamma_i) r + q_i: the same doubles
-    for g, q in zip(-gamma, cols):
-        np.multiply(r, g, out=term)
-        term += q
-        phi += np.maximum(term, 0.0, out=term)
+    r = np.divide(cols, gamma[:, None], out=ws.take(cols.shape))
+    phi = ws.take(cols.shape)
+    phi.fill(0.0)
+    with ws.frame():
+        term = ws.take(cols.shape)  # q_i - r gamma_i, summed as (-gamma_i) r + q_i: the same doubles
+        for g, q in zip(-gamma, cols):
+            np.multiply(r, g, out=term)
+            term += q
+            phi += np.maximum(term, 0.0, out=term)
     return r, phi
 
 

@@ -29,6 +29,7 @@ from .core import (
     _perm,
     _probs,
     _simplex_rows,
+    _slope_order,
     beta_order,
     compare,
     curve_dominates,
@@ -147,16 +148,21 @@ def tangent_bound_curve(p, spec: EnergySpectrum, i: int) -> TMCurve:
     if i not in (1, d):
         raise ValueError("only the first and last tangent families bound the regions")
     gamma = _matched_gibbs(spec, d)
-    if d == 1:
+    ratios, order = _slope_order(probs, gamma)
+    return _tangent_bound(ratios[order], gamma, i == 1)
+
+
+def _tangent_bound(slopes: np.ndarray, gamma: np.ndarray, first: bool) -> TMCurve:
+    """t_1 (`first`) or t_d of a state whose slopes, non-increasing, are `slopes`."""
+    if gamma.size == 1:
         return TMCurve(np.array([0.0, 1.0]), np.array([0.0, 1.0]))
-    sv = beta_order(probs, spec)
     gmin = float(gamma.min())
-    if i == 1:
+    if first:
         x0 = min(1.0 - gmin, np.nextafter(1.0, 0.0))
-        return TMCurve(np.array([0.0, x0, 1.0]), np.array([0.0, sv.slopes[0] * x0, 1.0]))
+        return TMCurve(np.array([0.0, x0, 1.0]), np.array([0.0, slopes[0] * x0, 1.0]))
     return TMCurve(
         np.array([0.0, gmin, 1.0]),
-        np.array([0.0, 1.0 - sv.slopes[-1] * (1.0 - gmin), 1.0]),
+        np.array([0.0, 1.0 - slopes[-1] * (1.0 - gmin), 1.0]),
     )
 
 

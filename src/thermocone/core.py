@@ -299,24 +299,30 @@ def tm_curve(p, spec: EnergySpectrum, order=None) -> TMCurve:
     if order is None:
         probs = _probs(p)
         gamma = _matched_gibbs(spec, probs.size)
-        idx = _slope_order(probs, gamma)[1]
-        check_concave = True
-    else:
-        probs = _entries(p)
-        gamma = _matched_gibbs(spec, probs.size)
-        idx = _perm(order, probs.size)
-        check_concave = False
+        return _beta_curve(probs, gamma, _slope_order(probs, gamma)[1])
+    probs = _entries(p)
+    gamma = _matched_gibbs(spec, probs.size)
+    return TMCurve(*_knots(probs, gamma, _perm(order, probs.size)))
+
+
+def _knots(probs: np.ndarray, gamma: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # knots of the curve that fills the levels in the order `idx`
     xs = np.concatenate(([0.0], np.cumsum(gamma[idx])))
     ys = np.concatenate(([0.0], np.cumsum(probs[idx])))
     xs[-1] = 1.0
     ys[-1] = 1.0
-    if check_concave:
-        dx = np.diff(xs)
-        if np.any(np.diff(np.diff(ys) / dx) > EPS_SLOPE):
-            hull = _upper_hull(xs, ys) if np.all(dx > 0.0) else None
-            if hull is None or np.any(np.abs(np.interp(xs, *hull) - ys) > HULL_SLACK):
-                raise RuntimeError("non-concave curve from a beta-ordered distribution")
-            xs, ys = hull
+    return xs, ys
+
+
+def _beta_curve(probs: np.ndarray, gamma: np.ndarray, idx: np.ndarray) -> TMCurve:
+    """`tm_curve` of checked populations in their beta-order `idx`, with its concavity check."""
+    xs, ys = _knots(probs, gamma, idx)
+    dx = np.diff(xs)
+    if np.any(np.diff(np.diff(ys) / dx) > EPS_SLOPE):
+        hull = _upper_hull(xs, ys) if np.all(dx > 0.0) else None
+        if hull is None or np.any(np.abs(np.interp(xs, *hull) - ys) > HULL_SLACK):
+            raise RuntimeError("non-concave curve from a beta-ordered distribution")
+        xs, ys = hull
     return TMCurve(xs, ys)
 
 

@@ -15,11 +15,11 @@ from itertools import permutations
 
 import numpy as np
 
-from ._batch import conjugate_rows, segment_index
+from ._batch import FRESH, Workspace, conjugate_rows, extreme_slopes, segment_index
 from .catalysis import c_plus_vertices, tangent_bound_curve
 from .cones import future_cone_vertices, vertex_for_order
 from .core import Dist, EnergySpectrum, EPS_CMP, _probs
-from .volume import DEFAULT_SEED, VolumeEstimate, _Chunk, _estimate, _over_chunks
+from .volume import DEFAULT_SEED, VolumeEstimate, _Chunk, _estimate, _kept_rows, _over_chunks
 
 __all__ = [
     "TwoQubitConfig",
@@ -68,7 +68,24 @@ def in_TN(p, cfg: TwoQubitConfig) -> bool:
     return not unitary_entanglable(vertex)
 
 
-def _tn_mask(samples: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+def _non_entanglable(f1: np.ndarray, f2: np.ndarray, f3: np.ndarray, ws: Workspace) -> np.ndarray:
+    """Rows whose decisive extreme point, with curve heights f1, f2, f3 at the
+    decisive abscissae, is not unitarily entanglable (within EPS_CMP).
+
+    The point's populations are (f1, f2 - f1, f3 - f2, 1 - f3) in the
+    decisive order, and the test is `unitary_entanglable`'s margin
+    4 p_1 p_4 - (p_2 - p_3)^2, evaluated in scratch taken from `ws`.
+    """
+    with ws.frame():
+        a, b = ws.take((2, f1.size))
+        np.multiply(4.0, np.subtract(f2, f1, out=a), out=a)
+        a *= np.subtract(1.0, f3, out=b)
+        np.subtract(f1, np.subtract(f3, f2, out=b), out=b)
+        a -= np.square(b, out=b)
+        return a >= -EPS_CMP
+
+
+def _tn_mask(samples: np.ndarray, gamma: np.ndarray, ws: Workspace = FRESH) -> np.ndarray:
     """Rows of `samples` that `in_TN` accepts, read off each row's curve with no sort.
 
     The decisive extreme point's populations are the increments of the row's
@@ -78,14 +95,20 @@ def _tn_mask(samples: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     pairs {(q_i, gamma_i)}, the greedy fill by falling q_i / gamma_i, and the
     two middle levels have equal gamma, so swapping their populations leaves
     that multiset, and c_q, unchanged.
+
+    The rows are read as the columns `samples.T`, with no copy (contiguous
+    for draws laid out as `sample_simplex` lays them out); temporaries are
+    taken from the workspace `ws`.
     """
-    r, phi = conjugate_rows(np.ascontiguousarray(samples.T), gamma)
-    probes = np.cumsum(gamma[list(_DECISIVE_ORDER)])[:3]
-    f1, f2, f3 = (np.minimum((r * x0 + phi).min(axis=0), 1.0) for x0 in probes)
-    return 4.0 * (f2 - f1) * (1.0 - f3) - (f1 - (f3 - f2)) ** 2 >= -EPS_CMP
+    with ws.frame():
+        r, phi = conjugate_rows(samples.T, gamma, ws)
+        line, f = ws.take(r.shape), ws.take((3, r.shape[1]))
+        for fk, x0 in zip(f, np.cumsum(gamma[list(_DECISIVE_ORDER)])[:3]):
+            np.minimum(np.min(np.add(np.multiply(r, x0, out=line), phi, out=line), axis=0, out=fk), 1.0, out=fk)
+        return _non_entanglable(*f, ws)
 
 
-def _cn_mask(samples: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+def _cn_mask(samples: np.ndarray, gamma: np.ndarray, ws: Workspace = FRESH) -> np.ndarray:
     """Vertex test: every extreme point of the catalysable future must stay
     thermally non-entanglable.  Exact whenever the non-entanglable set is
     convex (it is at beta=0, and numerically for beta > 0).
@@ -100,38 +123,45 @@ def _cn_mask(samples: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     its increments between them are the decisive point's populations.
     Heights and chords are cached by their abscissae, so orders that share a
     knot or a segment reuse one array, equal to what a fresh evaluation gives.
+    The rows are read as the columns `samples.T`, with no copy, and every
+    row-sized array is taken from the workspace `ws`.
     """
-    ratios = np.ascontiguousarray(samples.T) / gamma[:, None]
-    s1, sd = ratios.max(axis=0), ratios.min(axis=0)
-    heights = {0.0: 0.0, 1.0: 1.0}  # h at each knot abscissa, shared by the orders
-    chords = {}  # the curve at a probe, keyed by the segment's two knots and the probe
+    with ws.frame():
+        s1, sd = extreme_slopes(samples.T, gamma, ws)
+        heights = {0.0: 0.0, 1.0: 1.0}  # h at each knot abscissa, shared by the orders
+        chords = {}  # the curve at a probe, keyed by the segment's two knots and the probe
 
-    def chord(xs: np.ndarray, x0: np.float64) -> np.ndarray:
-        # the curve through (xs, h(xs)) at x0, on the segment `segment_index` picks
-        j = int(segment_index(xs, x0))
-        lo, hi = xs[j], xs[j + 1]
-        if (lo, hi, x0) not in chords:
-            for x in (lo, hi):
-                if x not in heights:
-                    heights[x] = np.minimum(np.minimum(s1 * x, 1.0 - sd * (1.0 - x)), 1.0)
-            chords[lo, hi, x0] = heights[lo] + (x0 - lo) / (hi - lo) * (heights[hi] - heights[lo])
-        return chords[lo, hi, x0]
+        def chord(xs: np.ndarray, x0: np.float64) -> np.ndarray:
+            # the curve through (xs, h(xs)) at x0, on the segment `segment_index` picks
+            j = int(segment_index(xs, x0))
+            lo, hi = xs[j], xs[j + 1]
+            if (lo, hi, x0) not in chords:
+                for x in (lo, hi):
+                    if x not in heights:
+                        h = ws.take(s1.shape)
+                        with ws.frame():
+                            tail = ws.take(s1.shape)
+                            np.subtract(1.0, np.multiply(sd, 1.0 - x, out=tail), out=tail)
+                            heights[x] = np.minimum(np.minimum(np.multiply(s1, x, out=h), tail, out=h), 1.0, out=h)
+                c = ws.take(s1.shape)
+                np.subtract(heights[hi], heights[lo], out=c)
+                chords[lo, hi, x0] = np.add(heights[lo], np.multiply((x0 - lo) / (hi - lo), c, out=c), out=c)
+            return chords[lo, hi, x0]
 
-    probes = np.cumsum(gamma[list(_DECISIVE_ORDER)])[:3]
-    out = np.ones(samples.shape[0], dtype=bool)
-    seen: set[tuple[float, ...]] = set()
-    for pi in permutations(range(4)):
-        key = tuple(gamma[list(pi)])
-        if key in seen:  # degenerate middle levels give duplicate knot sets
-            continue
-        seen.add(key)
-        xs = np.concatenate(([0.0], np.cumsum(gamma[list(pi)])))
-        xs[-1] = 1.0
-        f1, f2, f3 = (chord(xs, x0) for x0 in probes)
-        out &= 4.0 * (f2 - f1) * (1.0 - f3) - (f1 - (f3 - f2)) ** 2 >= -EPS_CMP
-        if not out.any():
-            break
-    return out
+        probes = np.cumsum(gamma[list(_DECISIVE_ORDER)])[:3]
+        out = np.ones(s1.size, dtype=bool)
+        seen: set[tuple[float, ...]] = set()
+        for pi in permutations(range(4)):
+            key = tuple(gamma[list(pi)])
+            if key in seen:  # degenerate middle levels give duplicate knot sets
+                continue
+            seen.add(key)
+            xs = np.concatenate(([0.0], np.cumsum(gamma[list(pi)])))
+            xs[-1] = 1.0
+            out &= _non_entanglable(*(chord(xs, x0) for x0 in probes), ws)
+            if not out.any():
+                break
+        return out
 
 
 def in_CN(p, cfg: TwoQubitConfig, samples: int = 20_000, seed: int = DEFAULT_SEED) -> bool:
@@ -150,12 +180,13 @@ def in_CN(p, cfg: TwoQubitConfig, samples: int = 20_000, seed: int = DEFAULT_SEE
     gamma = spec.gibbs
     t1 = tangent_bound_curve(probs, spec, 1)
     td = tangent_bound_curve(probs, spec, 4)
+    ws = Workspace()
 
     def stays_out(draws: np.ndarray) -> bool:
-        (inside,) = _Chunk(draws, gamma).under((t1, td))
-        return not inside.any() or bool(_tn_mask(draws[inside], gamma).all())
+        (inside,) = _Chunk(draws, gamma, ws).under((t1, td))
+        return not inside.any() or bool(_tn_mask(_kept_rows(draws, inside, ws), gamma, ws).all())
 
-    return all(_over_chunks(4, samples, seed, stays_out))
+    return all(_over_chunks(4, samples, seed, stays_out, ws))
 
 
 def p_star(beta: float) -> Dist:
@@ -183,19 +214,22 @@ def volume_ratio_CN_TN(
 
     Classifies uniform simplex samples with `_tn_mask` (each sample's curve
     read at the decisive abscissae through `conjugate_rows`) and the vertex
-    test `_cn_mask`, neither of which sorts a sample; returns
+    test `_cn_mask`, neither of which sorts a sample, on the samples in TN
+    only, since V_CN counts the samples that pass both; returns
     (V_TN, V_CN, V_CN/V_TN).  The ratio is nan when no sample lands in the
     thermally non-entanglable set.
     """
     if samples < 10_000:
         raise ValueError("need at least 10000 samples")
     gamma = TwoQubitConfig(beta).spectrum().gibbs
+    ws = Workspace()
 
     def hits(draws: np.ndarray) -> tuple[int, int]:
-        tn = _tn_mask(draws, gamma)
-        return int(tn.sum()), int((_cn_mask(draws, gamma) & tn).sum())
+        # a row counts towards V_CN only if it is in TN, so `_cn_mask` (row by row) sees only those
+        tn = _tn_mask(draws, gamma, ws)
+        return int(tn.sum()), int(_cn_mask(_kept_rows(draws, tn, ws), gamma, ws).sum())
 
-    tn_hits, cn_hits = map(sum, zip(*_over_chunks(4, samples, seed, hits)))
+    tn_hits, cn_hits = map(sum, zip(*_over_chunks(4, samples, seed, hits, ws)))
     v_tn = _estimate(tn_hits, samples, seed)
     v_cn = _estimate(cn_hits, samples, seed)
     ratio = v_cn.value / v_tn.value if v_tn.value > 0 else math.nan

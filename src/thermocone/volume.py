@@ -16,9 +16,9 @@ from functools import cached_property
 
 import numpy as np
 
-from ._batch import batch_curves, conjugate_rows, subset_masses
-from .catalysis import tangent_bound_curve
-from .core import EPS_CMP, EnergySpectrum, TMCurve, _matched_gibbs, _probs, tm_curve
+from ._batch import FRESH, Workspace, batch_curves, conjugate_rows, extreme_slopes, subset_masses
+from .catalysis import _tangent_bound
+from .core import EPS_CMP, EnergySpectrum, TMCurve, _beta_curve, _matched_gibbs, _probs, _slope_order
 
 __all__ = [
     "DEFAULT_SEED",
@@ -51,22 +51,50 @@ def _threads() -> int:
 
 
 def sample_simplex(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform simplex samples via normalised exponential draws."""
-    g = rng.exponential(size=(n, d))
-    return g / g.sum(axis=1, keepdims=True)
+    """Uniform simplex samples via normalised exponential draws.
+
+    The (n, d) result holds the doubles of g / g.sum(axis=1, keepdims=True)
+    for g = rng.exponential(size=(n, d)), laid out by column: it is the
+    transpose of a C-contiguous (d, n) array, so each level's populations are
+    contiguous and `result.T` is that array, with no copy.
+    """
+    return _draw(rng, np.empty((d, n)))
 
 
-def _over_chunks(d: int, samples: int, seed: int, fn):
+def _draw(rng: np.random.Generator, cols: np.ndarray, ws: Workspace = FRESH) -> np.ndarray:
+    # fills the (d, n) array `cols` as `sample_simplex` does and returns cols.T; scratch from `ws`
+    d, n = cols.shape
+    with ws.frame():
+        g = rng.standard_exponential(out=ws.take((n, d)))  # = rng.exponential(size=(n, d)): scale 1 is exact
+        total = ws.take((n,))
+        if d < 8:  # numpy adds fewer than 8 entries in order, so adding columns gives its row sums, 8x faster
+            np.copyto(total, g[:, 0])
+            for j in range(1, d):
+                total += g[:, j]
+        else:  # from 8 entries numpy sums in 8 lanes; reduce the row buffer itself
+            np.sum(g, axis=1, out=total)
+        np.divide(g.T, total, out=cols)
+    return cols.T
+
+
+def _over_chunks(d: int, samples: int, seed: int, fn, ws: Workspace | None = None):
     """`fn(draws)` for each chunk of `samples` uniform draws from the d-simplex, in order.
 
     Chunk i holds up to `_CHUNK` draws from Philox(key=[seed, i]), so results
     do not depend on `THERMOCONE_THREADS`.  With one thread they come lazily
     (a caller may stop early); with more, all chunks run on a thread pool.
+    Each chunk is laid out as `sample_simplex` lays it out and runs in a frame
+    of the workspace `ws` (a fresh one if None; callers pass the one their
+    kernels use), so the chunks of one call (per thread) are drawn into the
+    same memory: `fn` must not keep `draws`, or any view of it, past its own
+    return; a copy is safe.
     """
+    ws = ws or Workspace()
 
     def _run(chunk: int):
         rng = np.random.Generator(np.random.Philox(key=[seed, chunk]))
-        return fn(sample_simplex(d, min(_CHUNK, samples - chunk * _CHUNK), rng))
+        with ws.frame():
+            return fn(_draw(rng, ws.take((d, min(_CHUNK, samples - chunk * _CHUNK))), ws))
 
     chunks = range(-(-samples // _CHUNK))
     workers = _threads()
@@ -74,6 +102,11 @@ def _over_chunks(d: int, samples: int, seed: int, fn):
         with ThreadPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_run, chunks))
     return map(_run, chunks)
+
+
+def _kept_rows(draws: np.ndarray, keep: np.ndarray, ws: Workspace) -> np.ndarray:
+    """The rows of `draws` where `keep` holds, laid out as `sample_simplex` lays them out, taken from `ws`."""
+    return np.compress(keep, draws.T, axis=1, out=ws.take((draws.shape[1], np.count_nonzero(keep)))).T
 
 
 @dataclass(frozen=True)
@@ -102,16 +135,23 @@ class _Chunk:
     contains every row's knot subsets, which is all `under` needs (see
     `region_masks`).  Each `under` call builds the family once for all the
     groups it is given.  Masses are held as (subset, row), so tests over the
-    subsets run along the long axis.
+    subsets run along the long axis.  The rows are read as the columns
+    `draws.T`, with no copy; they are contiguous for draws laid out as
+    `sample_simplex` lays them out.  Chunk-sized temporaries are taken from
+    the workspace `ws`, which the chunks of one call share; each method
+    gives back what it took, except `slopes`, which lasts as long as the
+    frame it was first read in (`above` reads it before opening its own).
     """
 
-    def __init__(self, draws: np.ndarray, gamma: np.ndarray):
+    def __init__(self, draws: np.ndarray, gamma: np.ndarray, ws: Workspace = FRESH):
         self.draws = draws
         self.gamma = gamma
-        self.cols = np.ascontiguousarray(draws.T)
+        self.cols = draws.T
+        self.ws = ws
 
     def _family(self):
-        # (rows, masses on the family as (subset, row), abscissae) block by block
+        # (rows, masses on the family as (subset, row), abscissae) block by block; a block's masses
+        # last until the next is asked for
         if self.gamma.size > _SUBSET_DIM:
             xs, ys = batch_curves(self.draws, self.gamma)
             yield slice(None), ys[:, 1:-1].T, xs[:, 1:-1].T
@@ -119,7 +159,8 @@ class _Chunk:
         x = subset_masses(self.gamma[:, None])
         step = _MASS_BYTES // (8 << self.gamma.size)
         for lo in range(0, len(self.draws), step):
-            yield slice(lo, lo + step), subset_masses(self.cols[:, lo : lo + step]), x
+            with self.ws.frame():
+                yield slice(lo, lo + step), subset_masses(self.cols[:, lo : lo + step], self.ws), x
 
     def under(self, *groups: tuple[TMCurve, ...]) -> list[np.ndarray]:
         """Per group of curves, the rows whose curve lies below all of them (within EPS_CMP).
@@ -130,18 +171,19 @@ class _Chunk:
         """
         out = [np.empty(len(self.draws), dtype=bool) for _ in groups]
         for rows, mass, x in self._family():
-            for mask, curves in zip(out, groups):
-                thr = np.interp(x, curves[0].xs, curves[0].ys)
-                for c in curves[1:]:
-                    thr = np.minimum(thr, np.interp(x, c.xs, c.ys))
-                mask[rows] = np.all(mass <= thr + EPS_CMP, axis=0)
+            with self.ws.frame():
+                below = self.ws.take(mass.shape, bool)
+                for mask, curves in zip(out, groups):
+                    thr = np.interp(x, curves[0].xs, curves[0].ys)
+                    for c in curves[1:]:
+                        thr = np.minimum(thr, np.interp(x, c.xs, c.ys))
+                    np.all(np.less_equal(mass, thr + EPS_CMP, out=below), axis=0, out=mask[rows])
         return out
 
     @cached_property
     def slopes(self) -> tuple[np.ndarray, np.ndarray]:
         """Every row's largest and smallest slope p_i / gamma_i."""
-        ratios = self.cols / self.gamma[:, None]
-        return ratios.max(axis=0), ratios.min(axis=0)
+        return extreme_slopes(self.cols, self.gamma, self.ws)
 
     def above(self, curve: TMCurve, rows: np.ndarray) -> np.ndarray:
         """Rows, among `rows`, whose curve lies above `curve` (within EPS_CMP).
@@ -159,16 +201,25 @@ class _Chunk:
         A row's curve lies below its tangents min(s_1 x, 1 - s_d (1 - x)), so
         rows whose tangents already fall short at a knot are dropped first.
         """
-        x = curve.xs[1:-1, None]
+        ws = self.ws
+        knots = list(zip(curve.xs[1:-1], curve.ys[1:-1]))
         s1, sd = self.slopes
-        reach = np.minimum(x * s1, 1.0 - (1.0 - x) * sd)
-        rows = rows & np.all(reach >= curve.ys[1:-1, None] - (EPS_CMP + _SLACK), axis=0)
         out = np.zeros(len(self.draws), dtype=bool)
+        with ws.frame():
+            rows = rows.copy()
+            reach, tail = ws.take((2, s1.size))
+            for xk, yk in knots:
+                np.multiply(xk, s1, out=reach)
+                np.subtract(1.0, np.multiply(1.0 - xk, sd, out=tail), out=tail)
+                rows &= np.minimum(reach, tail, out=reach) >= yk - (EPS_CMP + _SLACK)
         if rows.any():
-            r, phi = conjugate_rows(self.cols[:, rows], self.gamma)
-            ok = np.ones(r.shape[1], dtype=bool)
-            for xk, yk in zip(curve.xs[1:-1], curve.ys[1:-1]):
-                ok &= np.all(r * xk + phi >= yk - EPS_CMP, axis=0)
+            with ws.frame():
+                r, phi = conjugate_rows(_kept_rows(self.draws, rows, ws).T, self.gamma, ws)
+                line, line_ok = ws.take(r.shape), ws.take(r.shape, bool)
+                ok = np.ones(r.shape[1], dtype=bool)
+                for xk, yk in knots:
+                    np.add(np.multiply(r, xk, out=line), phi, out=line)
+                    ok &= np.all(np.greater_equal(line, yk - EPS_CMP, out=line_ok), axis=0)
             out[rows] = ok
         return out
 
@@ -183,8 +234,16 @@ class _Bounds:
 
     @classmethod
     def of(cls, probs: np.ndarray, spec: EnergySpectrum) -> "_Bounds":
-        d = probs.size
-        return cls(tm_curve(probs, spec), tangent_bound_curve(probs, spec, 1), tangent_bound_curve(probs, spec, d))
+        """The curves of checked populations `probs`: `tm_curve` and the two `tangent_bound_curve`s.
+
+        The state is checked and beta-ordered once for all three.
+        """
+        gamma = _matched_gibbs(spec, probs.size)
+        ratios, order = _slope_order(probs, gamma)
+        slopes = ratios[order]
+        return cls(
+            _beta_curve(probs, gamma, order), _tangent_bound(slopes, gamma, True), _tangent_bound(slopes, gamma, False)
+        )
 
     def region(self, name: str, chunk: _Chunk) -> np.ndarray:
         """Membership mask of one region; the past is checked only where it decides."""
@@ -287,11 +346,12 @@ def mc_volume(
     probs = _probs(p)
     gamma = _matched_gibbs(spec, probs.size)
     bounds = _Bounds.of(probs, spec)
+    ws = Workspace()
 
     def hits(draws: np.ndarray) -> int:
-        return int(bounds.region(name, _Chunk(draws, gamma)).sum())
+        return int(bounds.region(name, _Chunk(draws, gamma, ws)).sum())
 
-    return _estimate(sum(_over_chunks(probs.size, samples, seed, hits)), samples, seed)
+    return _estimate(sum(_over_chunks(probs.size, samples, seed, hits, ws)), samples, seed)
 
 
 def exact_area_d3(vertices) -> float:
@@ -336,15 +396,16 @@ def isovolume_grid(
     n = max(samples, 1000)
     grid = [(i / resolution, j / resolution) for i in range(resolution + 1) for j in range(resolution + 1 - i)]
     bounds = [_Bounds.of(_probs((p1, p2, 1.0 - p1 - p2)), spec) for p1, p2 in grid]
+    ws = Workspace()
 
     def hits(draws: np.ndarray) -> list[int]:
         # the C+ of `_Bounds.region`, with every grid point's groups in one `under` call
-        chunk = _Chunk(draws, spec.gibbs)
+        chunk = _Chunk(draws, spec.gibbs, ws)
         masks = chunk.under(*(group for b in bounds for group in ((b.curve,), (b.t1, b.td))))
         rows = [inside & ~future for future, inside in zip(masks[::2], masks[1::2])]
         return [int((r & ~chunk.above(b.curve, r)).sum()) for b, r in zip(bounds, rows)]
 
-    counts = [sum(c) for c in zip(*_over_chunks(3, n, seed, hits))]
+    counts = [sum(c) for c in zip(*_over_chunks(3, n, seed, hits, ws))]
     rows = [(p1, p2, c / n) for (p1, p2), c in zip(grid, counts)]
     table = np.array(rows)
     peak = table[:, 2].max()
