@@ -18,7 +18,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .core import EPS_CMP, MAX_ENUM_DIM, TMCurve, _freeze, _simplex_rows
+from .core import MAX_ENUM_DIM, _freeze, _simplex_rows
 
 _BLOCK_BYTES = 8 << 20  # scratch stack of a Monte-Carlo call (64 row vectors of a full chunk), a multiple of 2 MiB
 
@@ -176,11 +176,31 @@ def extreme_slopes(cols: np.ndarray, gamma: np.ndarray, ws: Workspace = FRESH) -
     return s1, sd
 
 
+def conjugates(cols: np.ndarray, gamma: np.ndarray, slopes: np.ndarray, ws: Workspace = FRESH) -> np.ndarray:
+    """phi_q(s) = sum_i max(q_i - s gamma_i, 0) for each column q of the (m, n) array `cols`.
+
+    Column j of the (k, n) array `slopes` holds the k slopes at which column
+    j of `cols` is read; the (k, n) result is taken from `ws` (`Workspace`).
+    phi_q is the hockey-stick form of thermomajorisation: it is convex and
+    piecewise linear in s, with breakpoints at the slopes q_i / gamma_i, and
+    it is the Legendre conjugate of q's curve, phi_q(s) = max_x [c_q(x) - s x].
+    """
+    phi = ws.take(slopes.shape)
+    phi.fill(0.0)
+    with ws.frame():
+        term = ws.take(slopes.shape)  # q_i - s gamma_i, summed as (-gamma_i) s + q_i
+        for g, q in zip(-gamma, cols):
+            np.multiply(slopes, g, out=term)
+            term += q
+            phi += np.maximum(term, 0.0, out=term)
+    return phi
+
+
 def conjugate_rows(cols: np.ndarray, gamma: np.ndarray, ws: Workspace = FRESH) -> tuple[np.ndarray, np.ndarray]:
     """Slopes r_j = q_j / gamma_j and conjugates phi_q(r_j) of each column q of the (d, n) array `cols`.
 
-    phi_q(r) = sum_i max(q_i - r gamma_i, 0).  Both results are (d, n), so
-    each row's curve reads, with no sort, as
+    The diagonal case of `conjugates`, each column read at its own slopes.
+    Both results are (d, n), so each row's curve reads, with no sort, as
 
         c_q(x) = min(1, min_j [r_j x + phi_q(r_j)])   for x in [0, 1].
 
@@ -196,15 +216,7 @@ def conjugate_rows(cols: np.ndarray, gamma: np.ndarray, ws: Workspace = FRESH) -
     Both results are taken from `ws` (`Workspace`).
     """
     r = np.divide(cols, gamma[:, None], out=ws.take(cols.shape))
-    phi = ws.take(cols.shape)
-    phi.fill(0.0)
-    with ws.frame():
-        term = ws.take(cols.shape)  # q_i - r gamma_i, summed as (-gamma_i) r + q_i: the same doubles
-        for g, q in zip(-gamma, cols):
-            np.multiply(r, g, out=term)
-            term += q
-            phi += np.maximum(term, 0.0, out=term)
-    return r, phi
+    return r, conjugates(cols, gamma, r, ws)
 
 
 def batch_curves(samples: np.ndarray, gamma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -232,61 +244,3 @@ def segment_index(xs: np.ndarray, x0: float) -> np.ndarray:
     skip whole segments.
     """
     return np.clip((xs <= x0 + 1e-15 * x0).sum(axis=-1) - 1, 0, xs.shape[-1] - 2)
-
-
-def eval_rows_at(xs: np.ndarray, ys: np.ndarray, x0: float) -> np.ndarray:
-    """Evaluate every row's piecewise-linear curve at the scalar abscissa x0 (`segment_index`).
-
-    No library path calls it: the masks read curves through `conjugate_rows`.
-    It stays as the sorted-curve oracle the tests compare them with.
-    """
-    j = segment_index(xs, x0)
-    rows = np.arange(xs.shape[0])
-    x_lo = xs[rows, j]
-    x_hi = xs[rows, j + 1]
-    y_lo = ys[rows, j]
-    y_hi = ys[rows, j + 1]
-    t = (x0 - x_lo) / (x_hi - x_lo)
-    return y_lo + t * (y_hi - y_lo)
-
-
-def _interp_rows(x: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Row k's curve (xs[k], ys[k]) at the points x[k], as `np.interp` computes it.
-
-    x must lie in [0, 1] and each row of xs must increase strictly from 0 to 1.
-    A point on a knot takes that knot's height; any other point takes
-    slope * (x - x_lo) + y_lo on its segment, the formula and operand order of
-    `np.interp`, so the values are bit-identical to a per-row `np.interp`.
-    """
-    rows = np.arange(xs.shape[0])[:, None]
-    j = (xs[:, None, :] <= x[:, :, None]).sum(axis=2) - 1
-    seg = np.minimum(j, xs.shape[1] - 2)
-    slopes = (ys[:, 1:] - ys[:, :-1]) / (xs[:, 1:] - xs[:, :-1])
-    inner = slopes[rows, seg] * (x - xs[rows, seg]) + ys[rows, seg]
-    return np.where(xs[rows, j] == x, ys[rows, j], inner)
-
-
-def rows_dominate_rows(
-    px: np.ndarray, py: np.ndarray, qx: np.ndarray, qy: np.ndarray, tol: float = EPS_CMP
-) -> np.ndarray:
-    """Mask of rows k whose curve (px[k], py[k]) lies everywhere above (qx[k], qy[k]).
-
-    Row-wise `curve_dominates`: each curve is evaluated at the other's knots,
-    and a curve at its own knots is its knot heights, so together the checks
-    cover the union of abscissae with the same tolerance and the same values.
-    """
-    return np.all(py >= _interp_rows(px, qx, qy) - tol, axis=1) & np.all(
-        _interp_rows(qx, px, py) >= qy - tol, axis=1
-    )
-
-
-def rows_dominate_fixed(xs: np.ndarray, ys: np.ndarray, curve: TMCurve, tol: float = EPS_CMP) -> np.ndarray:
-    """Mask of rows whose curve lies everywhere above the fixed curve.
-
-    The test oracle of the past (`volume._Chunk.above`), which reads the same
-    check off `conjugate_rows` with no sort; no library path calls it.
-    """
-    ok = np.all(ys >= np.interp(xs, curve.xs, curve.ys) - tol, axis=1)
-    for x0, y0 in zip(curve.xs[1:-1], curve.ys[1:-1]):
-        ok &= eval_rows_at(xs, ys, float(x0)) >= y0 - tol
-    return ok

@@ -15,13 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._batch import batch_curves, distinct_vertices, order_vertices, rows_dominate_rows
+from ._batch import conjugates, distinct_vertices, order_vertices
 from .core import (
     Dist,
     EnergySpectrum,
     EPS_CMP,
-    EPS_SLOPE,
-    MAX_ENUM_DIM,
     QuasiDist,
     Relation,
     TMCurve,
@@ -100,8 +98,6 @@ def tangent_vector(p, spec: EnergySpectrum, n: int, pi) -> TangentVector:
     d = probs.size
     if d < 2:
         raise ValueError("tangent vectors need at least two levels")
-    if d > MAX_ENUM_DIM:
-        raise ValueError(f"dimension {d} above enumeration cap {MAX_ENUM_DIM}")
     if not 1 <= n <= d:
         raise ValueError(f"segment rank n={n} outside 1..{d}")
     gamma = _matched_gibbs(spec, d)
@@ -251,8 +247,7 @@ def c_plus_vertices(p, spec: EnergySpectrum) -> ConeVertices:
     """Deduplicated extreme points of the catalysable future over all orders.
 
     One vectorised pass over every level order (d <= 8); vertices equal to
-    1e-10 keep the lexicographically first order.  About 0.2 ms at d = 6,
-    2.5 ms at d = 7 and 16 ms at d = 8.
+    1e-10 keep the lexicographically first order.
     """
     return ConeVertices.from_rows(*_c_plus_rows(_probs(p), spec))
 
@@ -402,6 +397,8 @@ def verify_catalyst(p, q, spec: EnergySpectrum, r, spec_r: EnergySpectrum) -> bo
 
 
 _GRID_BLOCK = 4096  # grid points per array pass; bounds memory for large grids
+_EDGE = 1e-13  # margin this close to -EPS_CMP: rounding could decide it, so `verify_catalyst` does
+_TINY_GIBBS = 1e-12  # joint Gibbs weight below which every point goes to `verify_catalyst`
 
 
 def _state_probs(s, spec: EnergySpectrum) -> np.ndarray:
@@ -411,28 +408,62 @@ def _state_probs(s, spec: EnergySpectrum) -> np.ndarray:
     return probs
 
 
-def _joint_curves(probs: np.ndarray, catalysts: np.ndarray, gamma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Curves of probs ⊗ r for every catalyst row r, checked as `tensor` and `tm_curve` check one."""
-    rows = _simplex_rows((probs[:, None] * catalysts[:, None, :]).reshape(len(catalysts), -1))
-    xs, ys = batch_curves(rows, gamma)
-    dx = np.diff(xs, axis=1)
-    if np.any(np.diff(np.diff(ys, axis=1) / dx, axis=1) > EPS_SLOPE):
-        raise RuntimeError("non-concave curve from a beta-ordered distribution")
-    if np.any(dx <= 0):
-        raise ValueError("elbow abscissae must increase strictly")
-    return xs, ys
+def _joint_cols(probs: np.ndarray, catalysts: np.ndarray) -> np.ndarray:
+    """probs ⊗ r for each column r of the (2, n) array `catalysts`, as columns, checked as `tensor` checks one."""
+    cols = (probs[:, None, None] * catalysts).reshape(-1, catalysts.shape[1])
+    _simplex_rows(cols.T)
+    return cols
 
 
 def search_qubit_catalyst(p, q, spec: EnergySpectrum, gibbs_r: float = 0.5, grid_n: int = 200) -> list[float]:
     """Grid-scan qubit catalysts r = (1-t, t) for t = k/grid_n, 0 < k < grid_n.
 
-    Returns every grid point whose catalyst verifies the transformation; the
-    grid is deterministic so results are reproducible.  The grid is evaluated
-    in one batch (blocks of 4096 points for larger grids): the joint states
-    p⊗r and q⊗r are stacked as rows over one joint Gibbs vector and compared
-    row by row, with the same values and tolerance as `verify_catalyst` at
-    each point.  About 1.3 ms for grid_n = 200 at d = 3..5 on a 2-vCPU
-    Xeon guest, against about 80 ms one point at a time.
+    Returns every grid point whose catalyst verifies the transformation,
+    exactly the points at which `verify_catalyst` answers True, and raises
+    where that would for states normalised to rounding (see Refusal parity);
+    the grid is deterministic so results are reproducible.  The grid is evaluated in blocks of `_GRID_BLOCK` points:
+    the joint states P = p⊗r and Q = q⊗r are stacked as columns over the
+    joint Gibbs vector gamma, and a point's margin is
+
+        m = min over the 2d slopes s = P_i / gamma_i of [phi_P(s) - phi_Q(s)],
+
+    with phi_P(s) = sum_i max(P_i - s gamma_i, 0) (`_batch.conjugates`): no
+    curve is built and no row sorted.  The point is a hit iff m >= -EPS_CMP.
+
+    Proof.  `verify_catalyst` asks c_P >= c_Q - tol on [0, 1], tol = EPS_CMP.
+    phi_P is the Legendre conjugate of P's concave curve,
+    phi_P(s) = max_x [c_P(x) - s x] (the maximum sits at a knot, the mass of
+    the prefix {i : P_i / gamma_i > s} of P's beta-order), and conversely
+    c_P(x) = min over s >= 0 of [s x + phi_P(s)] by LP duality
+    (`_batch.conjugate_rows`).  So c_P >= c_Q - tol everywhere gives
+    phi_P(s) >= max_x [c_Q(x) - s x] - tol = phi_Q(s) - tol, and
+    phi_P >= phi_Q - tol for every s >= 0 gives
+    c_P(x) >= min_s [s x + phi_Q(s)] - tol = c_Q(x) - tol.  Both conjugates
+    are convex and piecewise linear, equal to 1 at s = 0, and phi_P bends
+    only at P's slopes.  Between s = 0 and the smallest slope, and between
+    two consecutive slopes, phi_P is linear and phi_Q convex, so
+    phi_P - phi_Q is concave there and smallest at an end: s = 0, where it
+    is 0, or one of P's slopes.  Beyond the largest slope phi_P = 0 and
+    -phi_Q does not fall, so the difference is smallest at that slope.  So
+    m is the minimum over every s >= 0, and as the equivalence holds for
+    every tol >= 0, m equals min_x [c_P(x) - c_Q(x)] in exact arithmetic.  The two computed margins
+    differ only by the rounding of sums of 2d terms, a few ulps of 1 (under
+    1e-15 on 44,000 points at d <= 8); a point whose m lies within `_EDGE`
+    of -EPS_CMP is decided by `verify_catalyst` itself.
+
+    Refusal parity.  `verify_catalyst` refuses a joint curve (`tm_curve`)
+    that repeats an abscissa or has a knot off its hull; both need a joint
+    Gibbs weight within a few ulps of the running sums it is added to (the
+    largest smallest weight among such refusals in a sweep over
+    beta*dE in [28, 40], d = 2..5, was 2.2e-16), and the conjugates refuse
+    nothing.  When the joint Gibbs vector has a weight below `_TINY_GIBBS`
+    the search therefore returns [t for t in grid if verify_catalyst(...)],
+    which answers and refuses as the scalar path does.  This branch goes
+    once `tm_curve` stops refusing repeated abscissae (ROADMAP item 6).
+    A state whose sum is off 1 by more than rounding (`Dist` accepts up to
+    EPS_SUM) is outside this parity: `tm_curve` pins the last knot at
+    (1, 1), so the last segment absorbs the deficit and a joint curve may
+    be refused as non-concave where the conjugates answer.
     """
     if grid_n < 2:
         raise ValueError("grid_n must be at least 2")
@@ -441,13 +472,23 @@ def search_qubit_catalyst(p, q, spec: EnergySpectrum, gibbs_r: float = 0.5, grid
     joint_spec = EnergySpectrum(tuple(np.add.outer(spec.energies, spec_r.energies).ravel()), spec.beta)
     probs_q = _state_probs(q, spec)
     gamma = _matched_gibbs(joint_spec, 2 * spec.d)
+
+    def verified(t: float) -> bool:
+        return verify_catalyst(probs_p, probs_q, spec, (1.0 - t, t), spec_r)
+
+    if gamma.min() < _TINY_GIBBS:
+        return [t for t in (np.arange(1, grid_n) / grid_n).tolist() if verified(t)]
     hits = []
     for start in range(1, grid_n, _GRID_BLOCK):
         ts = np.arange(start, min(start + _GRID_BLOCK, grid_n)) / grid_n
-        catalysts = np.column_stack([1.0 - ts, ts])
-        curves_p = _joint_curves(probs_p, catalysts, gamma)
-        curves_q = _joint_curves(probs_q, catalysts, gamma)
-        hits += ts[rows_dominate_rows(*curves_p, *curves_q)].tolist()
+        catalysts = np.vstack([1.0 - ts, ts])
+        cols_p, cols_q = _joint_cols(probs_p, catalysts), _joint_cols(probs_q, catalysts)
+        slopes = cols_p / gamma[:, None]
+        margin = np.min(conjugates(cols_p, gamma, slopes) - conjugates(cols_q, gamma, slopes), axis=0)
+        hit = margin >= -EPS_CMP
+        for k in np.flatnonzero(np.abs(margin + EPS_CMP) < _EDGE):
+            hit[k] = verified(float(ts[k]))
+        hits += ts[hit].tolist()
     return hits
 
 

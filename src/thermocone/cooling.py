@@ -236,13 +236,10 @@ def optimal_cooling(p, spec: EnergySpectrum, catalytic: bool = False) -> Cooling
     deterministic.  The catalytic bound continues the same scan over the
     catalysable-future vertices.  No vertex set is enumerated, so there is no
     cap on d.  A search descends one level of the order per vectorised call
-    on at most d orders; with the bound a call takes about 0.2-0.6 ms at
-    d = 3..6 and 0.4-1.7 ms at d = 7..10.  Near-ties walk more of the tree.
-    The slowest are states within about 1e-10 of a straight curve (near
-    Gibbs), whose vertices mostly agree to 10 decimals: the walk must show
-    that the many orders the scan skips as repeats hold nothing better, which
-    takes about 2-30 ms at d = 4..7, 0.1-0.3 s at d = 8 and up to 2 s at
-    d = 10.
+    on at most d orders.  Near-ties walk more of the tree.  The slowest are
+    states within about 1e-10 of a straight curve (near Gibbs), whose
+    vertices mostly agree to 10 decimals: the walk must show that the many
+    orders the scan skips as repeats hold nothing better.
     """
     probs = _probs(p)
     heat, row, order = _search(_curve_heights(probs, spec), probs, spec)

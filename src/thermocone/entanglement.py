@@ -16,8 +16,8 @@ from itertools import permutations
 import numpy as np
 
 from ._batch import FRESH, Workspace, conjugate_rows, extreme_slopes, segment_index
-from .catalysis import c_plus_vertices, tangent_bound_curve
-from .cones import future_cone_vertices, vertex_for_order
+from .catalysis import tangent_bound_curve
+from .cones import vertex_for_order
 from .core import Dist, EnergySpectrum, EPS_CMP, _probs
 from .volume import DEFAULT_SEED, VolumeEstimate, _Chunk, _estimate, _kept_rows, _over_chunks
 
@@ -167,17 +167,27 @@ def _cn_mask(samples: np.ndarray, gamma: np.ndarray, ws: Workspace = FRESH) -> n
 def in_CN(p, cfg: TwoQubitConfig, samples: int = 20_000, seed: int = DEFAULT_SEED) -> bool:
     """True iff not even a strict catalyst can open a path to entanglement.
 
-    One-sided numeric classifier (sound when False): every extreme point of
-    the future and catalysable-future regions is screened, then rejection
-    samples from the joint region are re-screened as `in_TN` would, by
+    One-sided numeric classifier (sound when False).  Two screens come
+    first: the state must lie in TN (`in_TN`), and every extreme point of
+    its catalysable future must stay thermally non-entanglable, which
+    `_cn_mask` reads off the state's row with no vertex built.  Rejection
+    samples from the joint region are then re-screened as `in_TN` would, by
     `_tn_mask`, which sorts no sample.
+
+    The first screen stands for the screen of every future extreme point.
+    Proof.  `in_TN(x)` holds iff no state of the future T+(x) is unitarily
+    entanglable, which the decisive extreme point of T+(x) decides.  If
+    `in_TN(p)`, every future extreme point v has T+(v) ⊆ T+(p), so `in_TN(v)`.
+    Conversely the decisive extreme point v* of T+(p) is one of them, and it
+    is its own decisive extreme point (its slopes already fall along the
+    decisive order), so `in_TN(v*)` is the test `in_TN(p)` makes.  Hence
+    every future extreme point lies in TN iff p does.
     """
     probs = _probs(p)
     spec = cfg.spectrum()
-    for vertices in (future_cone_vertices, c_plus_vertices):
-        if not all(in_TN(v, cfg) for v in vertices(probs, spec).distinct()):
-            return False
     gamma = spec.gibbs
+    if not (in_TN(probs, cfg) and _cn_mask(probs[None], gamma)[0]):
+        return False
     t1 = tangent_bound_curve(probs, spec, 1)
     td = tangent_bound_curve(probs, spec, 4)
     ws = Workspace()

@@ -40,7 +40,6 @@ _MASS_BYTES = 1 << 21  # subset masses held at once per chunk
 _SLACK = 1e-12  # rounding allowance of the tangent screen in `_Chunk.above`
 
 REGIONS = ("T+", "T-", "T0", "C+", "C-")
-_REGION_ALIASES = {"T∅": "T0", "Tnull": "T0"}
 
 
 def _threads() -> int:
@@ -197,7 +196,8 @@ class _Chunk:
         lies in (0, q_i], so the left side is off by at most about (3d + 3)
         ulps of 1 (under 1e-14 up to d = 8), as small as the sorted curve's
         own interpolation error: only a row within that of the edge can be
-        classified otherwise than `rows_dominate_fixed` classifies it.
+        classified otherwise than the sorted-curve test oracle
+        (`rows_dominate_fixed` in `tests/curve_oracles.py`) classifies it.
         A row's curve lies below its tangents min(s_1 x, 1 - s_d (1 - x)), so
         rows whose tangents already fall short at a knot are dropped first.
         """
@@ -321,13 +321,6 @@ def region_masks(p, spec: EnergySpectrum, samples: np.ndarray) -> dict[str, np.n
     }
 
 
-def _canonical_region(region: str) -> str:
-    name = _REGION_ALIASES.get(region, region)
-    if name not in REGIONS:
-        raise ValueError(f"unknown region {region!r}; expected one of {REGIONS}")
-    return name
-
-
 def mc_volume(
     p,
     spec: EnergySpectrum,
@@ -342,14 +335,15 @@ def mc_volume(
     """
     if samples < 1000:
         raise ValueError("need at least 1000 samples")
-    name = _canonical_region(region)
+    if region not in REGIONS:
+        raise ValueError(f"unknown region {region!r}; expected one of {REGIONS}")
     probs = _probs(p)
     gamma = _matched_gibbs(spec, probs.size)
     bounds = _Bounds.of(probs, spec)
     ws = Workspace()
 
     def hits(draws: np.ndarray) -> int:
-        return int(bounds.region(name, _Chunk(draws, gamma, ws)).sum())
+        return int(bounds.region(region, _Chunk(draws, gamma, ws)).sum())
 
     return _estimate(sum(_over_chunks(probs.size, samples, seed, hits, ws)), samples, seed)
 

@@ -1,0 +1,70 @@
+"""Sorted-curve oracles that the sort-free kernels are tested against.
+
+Each reads curves from their knot matrices (`_batch.batch_curves`), the way
+the library read them before the LP-dual kernels (`_batch.conjugate_rows`,
+`_batch.conjugates`) replaced them: row-versus-row domination as
+`curve_dominates` decides it, and domination of a fixed curve.
+"""
+
+import numpy as np
+
+from thermocone._batch import segment_index
+from thermocone.core import EPS_CMP, TMCurve
+
+
+def eval_rows_at(xs: np.ndarray, ys: np.ndarray, x0: float) -> np.ndarray:
+    """Evaluate every row's piecewise-linear curve at the scalar abscissa x0 (`segment_index`).
+
+    No library path calls it: the masks read curves through `conjugate_rows`.
+    It stays as the sorted-curve oracle the tests compare them with.
+    """
+    j = segment_index(xs, x0)
+    rows = np.arange(xs.shape[0])
+    x_lo = xs[rows, j]
+    x_hi = xs[rows, j + 1]
+    y_lo = ys[rows, j]
+    y_hi = ys[rows, j + 1]
+    t = (x0 - x_lo) / (x_hi - x_lo)
+    return y_lo + t * (y_hi - y_lo)
+
+
+def _interp_rows(x: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Row k's curve (xs[k], ys[k]) at the points x[k], as `np.interp` computes it.
+
+    x must lie in [0, 1] and each row of xs must increase strictly from 0 to 1.
+    A point on a knot takes that knot's height; any other point takes
+    slope * (x - x_lo) + y_lo on its segment, the formula and operand order of
+    `np.interp`, so the values are bit-identical to a per-row `np.interp`.
+    """
+    rows = np.arange(xs.shape[0])[:, None]
+    j = (xs[:, None, :] <= x[:, :, None]).sum(axis=2) - 1
+    seg = np.minimum(j, xs.shape[1] - 2)
+    slopes = (ys[:, 1:] - ys[:, :-1]) / (xs[:, 1:] - xs[:, :-1])
+    inner = slopes[rows, seg] * (x - xs[rows, seg]) + ys[rows, seg]
+    return np.where(xs[rows, j] == x, ys[rows, j], inner)
+
+
+def rows_dominate_rows(
+    px: np.ndarray, py: np.ndarray, qx: np.ndarray, qy: np.ndarray, tol: float = EPS_CMP
+) -> np.ndarray:
+    """Mask of rows k whose curve (px[k], py[k]) lies everywhere above (qx[k], qy[k]).
+
+    Row-wise `curve_dominates`: each curve is evaluated at the other's knots,
+    and a curve at its own knots is its knot heights, so together the checks
+    cover the union of abscissae with the same tolerance and the same values.
+    """
+    return np.all(py >= _interp_rows(px, qx, qy) - tol, axis=1) & np.all(
+        _interp_rows(qx, px, py) >= qy - tol, axis=1
+    )
+
+
+def rows_dominate_fixed(xs: np.ndarray, ys: np.ndarray, curve: TMCurve, tol: float = EPS_CMP) -> np.ndarray:
+    """Mask of rows whose curve lies everywhere above the fixed curve.
+
+    The test oracle of the past (`volume._Chunk.above`), which reads the same
+    check off `conjugate_rows` with no sort; no library path calls it.
+    """
+    ok = np.all(ys >= np.interp(xs, curve.xs, curve.ys) - tol, axis=1)
+    for x0, y0 in zip(curve.xs[1:-1], curve.ys[1:-1]):
+        ok &= eval_rows_at(xs, ys, float(x0)) >= y0 - tol
+    return ok

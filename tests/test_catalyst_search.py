@@ -22,7 +22,9 @@ from thermocone import (
     search_qubit_catalyst,
     verify_catalyst,
 )
-from thermocone._batch import _interp_rows, batch_curves, rows_dominate_rows
+from thermocone._batch import batch_curves
+
+from curve_oracles import _interp_rows, rows_dominate_rows
 
 BETAS = (0.0, 0.3, 1.0, 5.0)
 GIBBS_R = (0.3, 0.5, 0.7)
@@ -138,18 +140,6 @@ def test_negligible_gibbs_weight_is_refused_like_the_scalar_path():
             verify_catalyst(p, q, spec, (0.5, 0.5), qubit_catalyst_spectrum(1.0, 0.5))
         with pytest.raises(ValueError, match="increase strictly"):
             search_qubit_catalyst(p, q, spec, 0.5, 4)
-
-
-def test_non_concave_row_raises_the_curve_error(monkeypatch):
-    def unsorted_curves(rows, gamma):
-        xs, ys = batch_curves(rows, gamma)
-        ys[-1, 1:-1] = 1.0 - ys[-1, -2:0:-1]  # flip one row's elbows: convex
-        return xs, ys
-
-    monkeypatch.setattr(catalysis, "batch_curves", unsorted_curves)
-    spec = EnergySpectrum((0.0, 1.0, 2.0), 0.2)
-    with pytest.raises(RuntimeError, match="non-concave"):
-        search_qubit_catalyst((0.7, 0.2, 0.1), (0.5, 0.3, 0.2), spec, 0.5, 10)
 
 
 def test_bad_inputs_are_refused():

@@ -12,9 +12,11 @@ import numpy as np
 import pytest
 
 from thermocone import EPS_CMP, EnergySpectrum, region_masks, sample_simplex, tm_curve
-from thermocone._batch import batch_curves, conjugate_rows, eval_rows_at, rows_dominate_fixed
+from thermocone._batch import batch_curves, conjugate_rows
 from thermocone.entanglement import TwoQubitConfig, _tn_mask
 from thermocone.volume import _Chunk
+
+from curve_oracles import eval_rows_at, rows_dominate_fixed
 
 BETAS = (0.0, 0.3, 1.0, 5.0, 30.0)
 TN_BETAS = (0.0, 0.1, 0.25, 0.5, 1.0, 2.0, 4.0)
@@ -226,7 +228,6 @@ def test_region_masks_partition_the_simplex(d):
 
 def test_monte_carlo_paths_sort_no_sample(monkeypatch):
     # a state's own curve sorts its d levels once; nothing may sort the draws
-    import thermocone.catalysis
     import thermocone.volume
     from thermocone import in_CN, isovolume_grid, mc_volume, volume_ratio_CN_TN
 
@@ -240,8 +241,7 @@ def test_monte_carlo_paths_sort_no_sample(monkeypatch):
         raise AssertionError("sorted every sample")
 
     monkeypatch.setattr(np, "argsort", small_argsort)
-    for module in (thermocone.volume, thermocone.catalysis):
-        monkeypatch.setattr(module, "batch_curves", refuse)
+    monkeypatch.setattr(thermocone.volume, "batch_curves", refuse)
     rng = np.random.default_rng(17)
     for d in (2, 3, 4, 6):
         spec = EnergySpectrum(tuple(np.sort(rng.uniform(0.0, 2.0, d))), 0.8)

@@ -23,9 +23,11 @@ from thermocone import (
     tangent_bound_curve,
     tm_curve,
 )
-from thermocone._batch import batch_curves, eval_rows_at, rows_dominate_fixed, subset_masses
+from thermocone._batch import batch_curves, subset_masses
 from thermocone.entanglement import TwoQubitConfig, _cn_mask, _tn_mask
 from thermocone.volume import _SUBSET_DIM, _over_chunks
+
+from curve_oracles import eval_rows_at, rows_dominate_fixed
 
 REGIONS = ("T+", "T-", "T0", "C+", "C-")
 
