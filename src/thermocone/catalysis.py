@@ -249,7 +249,7 @@ def c_plus_vertices(p, spec: EnergySpectrum) -> ConeVertices:
     One vectorised pass over every level order (d <= 8); vertices equal to
     1e-10 keep the lexicographically first order.
     """
-    return ConeVertices.from_rows(*_c_plus_rows(_probs(p), spec))
+    return ConeVertices(*_c_plus_rows(_probs(p), spec))
 
 
 @dataclass(frozen=True)

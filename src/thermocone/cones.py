@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ._batch import distinct_vertices, order_vertices
@@ -19,23 +17,36 @@ from .core import (
 __all__ = ["ConeVertices", "future_cone_vertices"]
 
 
-@dataclass(frozen=True, eq=False)
 class ConeVertices:
     """Extreme points of a future thermal cone keyed by target level order.
 
-    Orders are 0-based tuples listing levels by rank; only the
-    lexicographically first order of each distinct vertex is kept.
+    `orders` is the read-only (k, d) matrix of level orders, 0-based,
+    listing levels by rank, and row i of the read-only (k, d) matrix `rows`,
+    already checked as a distribution, is the vertex of order i; only the
+    lexicographically first order of each distinct vertex is kept, and the
+    rows follow their orders lexicographically (`_batch.distinct_vertices`).
+    The orders are int8, which holds every level up to the enumeration cap
+    in an eighth of intp's memory: a vertex set keeps them beside its dict.
+
+    `vertices` maps each order, as a tuple, to its vertex as a `Dist` around
+    its row.  It is built on first use and kept in a slot, without a lock:
+    two threads taking it first at once may both build it, and get equal
+    dicts.  `len()` builds nothing.
     """
 
-    vertices: dict[tuple[int, ...], Dist]
+    __slots__ = ("orders", "rows", "_vertices")
 
-    @classmethod
-    def from_rows(cls, orders: np.ndarray, rows: np.ndarray) -> ConeVertices:
-        """Wrap the (orders, vertices) matrices of `_batch.distinct_vertices`."""
-        return cls({tuple(pi): _row_dist(v) for pi, v in zip(orders.tolist(), rows)})
+    def __init__(self, orders: np.ndarray, rows: np.ndarray):
+        self.orders, self.rows, self._vertices = orders, rows, None
+
+    @property
+    def vertices(self) -> dict[tuple[int, ...], Dist]:
+        if self._vertices is None:
+            self._vertices = dict(zip(map(tuple, self.orders.tolist()), map(_row_dist, self.rows)))
+        return self._vertices
 
     def __len__(self) -> int:
-        return len(self.vertices)
+        return self.rows.shape[0]
 
     def __iter__(self):
         return iter(self.vertices.items())
@@ -66,4 +77,4 @@ def future_cone_vertices(p, spec: EnergySpectrum) -> ConeVertices:
     off the curve of `p` at the order's Gibbs subsums; vertices equal to 1e-10
     keep the lexicographically first order.
     """
-    return ConeVertices.from_rows(*_future_rows(_probs(p), spec))
+    return ConeVertices(*_future_rows(_probs(p), spec))
