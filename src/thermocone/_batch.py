@@ -237,15 +237,3 @@ def batch_curves(samples: np.ndarray, gamma: np.ndarray) -> tuple[np.ndarray, np
     xs[:, -1] = 1.0
     ys[:, -1] = 1.0
     return xs, ys
-
-
-def segment_index(xs: np.ndarray, x0: float) -> np.ndarray:
-    """Index of the segment holding the abscissa x0 in each row of knots `xs` (last axis).
-
-    A knot above x0 by at most 1e-15 relative counts as reached, so x0 read
-    off a subset sum rounded differently still lands on that knot's segment.
-    The slack is relative: knots below 1e-15 (Gibbs weights at large beta*dE)
-    lie on segments with slopes near 1/gamma, where an absolute slack would
-    skip whole segments.
-    """
-    return np.clip((xs <= x0 + 1e-15 * x0).sum(axis=-1) - 1, 0, xs.shape[-1] - 2)

@@ -13,7 +13,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 from functools import cache
 from pathlib import Path
 
@@ -34,7 +33,7 @@ from .embedding import oracle_report
 from .entanglement import TwoQubitConfig, in_CN, in_TN, unitary_entanglable, volume_ratio_CN_TN
 from .volume import DEFAULT_SAMPLES, DEFAULT_SEED, isovolume_grid, mc_volume
 
-__all__ = ["ExperimentConfig", "run", "main"]
+__all__ = ["run", "main"]
 
 SUBCOMMANDS = (
     "curve",
@@ -56,18 +55,6 @@ SUBCOMMANDS = (
 
 class UsageError(Exception):
     """Bad invocation or malformed input file (exit code 2)."""
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Parsed invocation: subcommand, input path and the common knobs."""
-
-    subcommand: str
-    input: str | None
-    seed: int
-    samples: int
-    beta: float | None
-    out: str | None
 
 
 def _sig12(x: float):
@@ -150,45 +137,44 @@ def _load_state(doc: dict, path: str, field: str = "state") -> Dist:
     return Dist(np.asarray(raw, dtype=float))
 
 
-def _inputs(cfg: ExperimentConfig, *fields: str) -> tuple:
-    """The input document, its spectrum and the named state fields, in that order."""
-    doc = _load_json(cfg.input)
-    return (doc, _load_spectrum(doc, cfg.input, cfg.beta), *(_load_state(doc, cfg.input, f) for f in fields))
+def _inputs(doc: dict, args, *fields: str) -> tuple:
+    """The input document's spectrum and its named state fields, in that order."""
+    return (_load_spectrum(doc, args.input, args.beta), *(_load_state(doc, args.input, f) for f in fields))
 
 
 def _order_key(pi: tuple[int, ...]) -> str:
     return ",".join(str(i + 1) for i in pi)  # 1-based level numbering on the wire
 
 
-def _cmd_curve(cfg: ExperimentConfig, args) -> dict | str:
-    _, spec, state = _inputs(cfg, "state")
+def _cmd_curve(doc, args) -> dict | str:
+    spec, state = _inputs(doc, args, "state")
     curve = tm_curve(state, spec)
     return {"elbows": [[x, y] for x, y in zip(curve.xs, curve.ys)]}
 
 
-def _cmd_compare(cfg: ExperimentConfig, args) -> dict:
-    _, spec, state, target = _inputs(cfg, "state", "target")
+def _cmd_compare(doc, args) -> dict:
+    spec, state, target = _inputs(doc, args, "state", "target")
     return {"relation": compare(state, target, spec).value}
 
 
-def _cmd_cone(cfg: ExperimentConfig, args) -> dict:
-    _, spec, state = _inputs(cfg, "state")
+def _cmd_cone(doc, args) -> dict:
+    spec, state = _inputs(doc, args, "state")
     vertices = future_cone_vertices(state, spec)
     return {"vertices": {_order_key(pi): v for pi, v in vertices}}
 
 
-def _cmd_catalysable(cfg: ExperimentConfig, args) -> dict:
-    doc, spec, state = _inputs(cfg, "state")
+def _cmd_catalysable(doc, args) -> dict:
+    spec, state = _inputs(doc, args, "state")
     out: dict = {"vertices": {_order_key(pi): v for pi, v in c_plus_vertices(state, spec)}}
     if "target" in doc:
-        target = _load_state(doc, cfg.input, "target")
+        target = _load_state(doc, args.input, "target")
         out["catalysable_future_member"] = catalysable_future_member(target, state, spec)
         out["catalysable_past_member"] = catalysable_past_member(target, state, spec)
     return out
 
 
-def _cmd_dimbound(cfg: ExperimentConfig, args) -> dict:
-    _, spec, state, target = _inputs(cfg, "state", "target")
+def _cmd_dimbound(doc, args) -> dict:
+    spec, state, target = _inputs(doc, args, "state", "target")
     db = dim_bound(state, target, spec)
     return {
         "a": db.a,
@@ -208,8 +194,8 @@ def _gibbs_r(doc: dict, args) -> float:
     return float(value)
 
 
-def _cmd_qubit_window(cfg: ExperimentConfig, args) -> dict:
-    doc, spec, state, target = _inputs(cfg, "state", "target")
+def _cmd_qubit_window(doc, args) -> dict:
+    spec, state, target = _inputs(doc, args, "state", "target")
     gibbs_r = _gibbs_r(doc, args)
     windows = qubit_window(state, target, spec, gibbs_r)
     return {
@@ -218,15 +204,15 @@ def _cmd_qubit_window(cfg: ExperimentConfig, args) -> dict:
     }
 
 
-def _cmd_search_catalyst(cfg: ExperimentConfig, args) -> dict:
-    doc, spec, state, target = _inputs(cfg, "state", "target")
+def _cmd_search_catalyst(doc, args) -> dict:
+    spec, state, target = _inputs(doc, args, "state", "target")
     gibbs_r = _gibbs_r(doc, args)
     hits = search_qubit_catalyst(state, target, spec, gibbs_r, args.grid)
     return {"gibbs_r": gibbs_r, "grid_n": args.grid, "t_values": hits}
 
 
-def _cmd_oracle_check(cfg: ExperimentConfig, args) -> dict:
-    _, spec, state, target = _inputs(cfg, "state", "target")
+def _cmd_oracle_check(doc, args) -> dict:
+    spec, state, target = _inputs(doc, args, "state", "target")
     report = oracle_report(state, target, spec, args.max_denominator)
     return {
         "thermo": report.thermo,
@@ -239,9 +225,9 @@ def _cmd_oracle_check(cfg: ExperimentConfig, args) -> dict:
     }
 
 
-def _cmd_volume(cfg: ExperimentConfig, args) -> dict:
-    _, spec, state = _inputs(cfg, "state")
-    est = mc_volume(state, spec, args.region, samples=cfg.samples, seed=cfg.seed)
+def _cmd_volume(doc, args) -> dict:
+    spec, state = _inputs(doc, args, "state")
+    est = mc_volume(state, spec, args.region, samples=args.samples, seed=args.seed)
     return {
         "region": args.region,
         "value": est.value,
@@ -251,16 +237,16 @@ def _cmd_volume(cfg: ExperimentConfig, args) -> dict:
     }
 
 
-def _cmd_isovolume(cfg: ExperimentConfig, args) -> str:
-    _, spec = _inputs(cfg)
-    table = isovolume_grid(spec, resolution=args.resolution, samples=cfg.samples, seed=cfg.seed)
+def _cmd_isovolume(doc, args) -> str:
+    (spec,) = _inputs(doc, args)
+    table = isovolume_grid(spec, resolution=args.resolution, samples=args.samples, seed=args.seed)
     lines = ["x,y,relative_volume"]
     lines += [",".join(_csv_cell(v) for v in row) for row in table]
     return "\n".join(lines) + "\n"
 
 
-def _cmd_entangle(cfg: ExperimentConfig, args) -> dict:
-    _, spec, state = _inputs(cfg, "state")
+def _cmd_entangle(doc, args) -> dict:
+    spec, state = _inputs(doc, args, "state")
     expected = TwoQubitConfig(spec.beta)
     if tuple(spec.energies) != expected.energies:
         raise UsageError("entangle expects the two-qubit spectrum energies [0, 1, 1, 2]")
@@ -268,21 +254,21 @@ def _cmd_entangle(cfg: ExperimentConfig, args) -> dict:
         "beta": spec.beta,
         "unitary_entanglable": unitary_entanglable(state),
         "in_TN": in_TN(state, expected),
-        "in_CN": in_CN(state, expected, samples=cfg.samples, seed=cfg.seed),
+        "in_CN": in_CN(state, expected, samples=args.samples, seed=args.seed),
     }
 
 
-def _cmd_entangle_volumes(cfg: ExperimentConfig, args) -> str:
+def _cmd_entangle_volumes(doc, args) -> str:
     betas = _parse_float_list(args.betas, "--betas")
     lines = ["beta,V_TN,V_CN,ratio"]
     for beta in betas:
-        v_tn, v_cn, ratio = volume_ratio_CN_TN(beta, samples=cfg.samples, seed=cfg.seed)
+        v_tn, v_cn, ratio = volume_ratio_CN_TN(beta, samples=args.samples, seed=args.seed)
         lines.append(",".join(_csv_cell(v) for v in (beta, v_tn.value, v_cn.value, ratio)))
     return "\n".join(lines) + "\n"
 
 
-def _cmd_cooling(cfg: ExperimentConfig, args) -> dict:
-    _, spec, state = _inputs(cfg, "state")
+def _cmd_cooling(doc, args) -> dict:
+    spec, state = _inputs(doc, args, "state")
     report = optimal_cooling(state, spec, catalytic=args.catalytic)
     out = {
         "q_c": report.q_c,
@@ -297,7 +283,7 @@ def _cmd_cooling(cfg: ExperimentConfig, args) -> dict:
     return out
 
 
-def _cmd_cooling_critical(cfg: ExperimentConfig, args) -> str:
+def _cmd_cooling_critical(doc, args) -> str:
     betas = _parse_float_list(args.beta_list, "--beta-list")
     lines = ["d,beta,beta_h_down,beta_h_up"]
     for beta in betas:
@@ -334,6 +320,7 @@ def _write_out(path: str, text: str) -> None:
         raise UsageError(f"cannot write output file {path!r}: {exc}") from exc
 
 
+# each handler takes the input document (None for `_NO_INPUT`) and the parsed flags
 _HANDLERS = {name: globals()["_cmd_" + name.replace("-", "_")] for name in SUBCOMMANDS}
 
 _NO_INPUT = {"entangle-volumes", "cooling-critical"}
@@ -397,21 +384,14 @@ def run(argv) -> int:
         args = parser.parse_args(list(argv))
     except SystemExit as exc:
         return int(exc.code or 0)
-    cfg = ExperimentConfig(
-        subcommand=args.subcommand,
-        input=getattr(args, "input", None),
-        seed=args.seed,
-        samples=args.samples,
-        beta=args.beta,
-        out=args.out,
-    )
     try:
-        if cfg.subcommand not in _NO_INPUT and not Path(cfg.input).is_file():
-            raise UsageError(f"input file {cfg.input!r} does not exist")
-        result = _HANDLERS[cfg.subcommand](cfg, args)
+        if args.subcommand not in _NO_INPUT and not Path(args.input).is_file():
+            raise UsageError(f"input file {args.input!r} does not exist")
+        doc = None if args.subcommand in _NO_INPUT else _load_json(args.input)
+        result = _HANDLERS[args.subcommand](doc, args)
         text = result if isinstance(result, str) else json.dumps(_jsonable(result), indent=2) + "\n"
-        if cfg.out is not None:
-            _write_out(cfg.out, text)
+        if args.out is not None:
+            _write_out(args.out, text)
         else:
             sys.stdout.write(text)
     except UsageError as exc:

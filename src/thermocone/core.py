@@ -102,9 +102,14 @@ class EnergySpectrum:
         return self._gibbs
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class Dist:
-    """Probability vector: entries >= 0 (tiny negatives clamped), sum == 1."""
+    """Probability vector: entries >= 0 (tiny negatives clamped), sum == 1.
+
+    Slotted, with no per-instance `__dict__`: a walk over a vertex set wraps
+    every row in one (`_row_dist`), and the slot saves an allocation per
+    vertex.
+    """
 
     probs: np.ndarray
 

@@ -15,11 +15,10 @@ from itertools import permutations
 
 import numpy as np
 
-from ._batch import FRESH, Workspace, conjugate_rows, extreme_slopes, segment_index
-from .catalysis import tangent_bound_curve
+from ._batch import FRESH, Workspace, conjugate_rows, extreme_slopes
 from .cones import vertex_for_order
 from .core import Dist, EnergySpectrum, EPS_CMP, _probs
-from .volume import DEFAULT_SEED, VolumeEstimate, _Chunk, _estimate, _kept_rows, _over_chunks
+from .volume import DEFAULT_SEED, VolumeEstimate, _estimate, _kept_rows, _over_chunks
 
 __all__ = [
     "TwoQubitConfig",
@@ -33,6 +32,8 @@ __all__ = [
 
 # target level order whose future extreme point decides entanglability (0-based)
 _DECISIVE_ORDER = (1, 0, 2, 3)
+# level orders whose C+ vertices `_cn_mask` tests: level 1 before level 2 (swapping the middle pair gives the rest)
+_CN_ORDERS = tuple(pi for pi in permutations(range(4)) if pi.index(1) < pi.index(2))
 
 
 @dataclass(frozen=True)
@@ -68,21 +69,24 @@ def in_TN(p, cfg: TwoQubitConfig) -> bool:
     return not unitary_entanglable(vertex)
 
 
-def _non_entanglable(f1: np.ndarray, f2: np.ndarray, f3: np.ndarray, ws: Workspace) -> np.ndarray:
-    """Rows whose decisive extreme point, with curve heights f1, f2, f3 at the
-    decisive abscissae, is not unitarily entanglable (within EPS_CMP).
+def _non_entanglable(pi, f1: np.ndarray, f2: np.ndarray, f3: np.ndarray, ws: Workspace) -> np.ndarray:
+    """Rows whose point with cumulative heights f1, f2, f3 along the level
+    order `pi` is not unitarily entanglable (within EPS_CMP).
 
-    The point's populations are (f1, f2 - f1, f3 - f2, 1 - f3) in the
-    decisive order, and the test is `unitary_entanglable`'s margin
-    4 p_1 p_4 - (p_2 - p_3)^2, evaluated in scratch taken from `ws`.
+    The point's populations are the increments (f1, f2 - f1, f3 - f2, 1 - f3)
+    of its levels taken in the order `pi`, and the test is
+    `unitary_entanglable`'s margin 4 q_0 q_3 - (q_1 - q_2)^2 >= -EPS_CMP,
+    with the same operations in the same order, evaluated in scratch taken
+    from `ws`.
     """
     with ws.frame():
-        a, b = ws.take((2, f1.size))
-        np.multiply(4.0, np.subtract(f2, f1, out=a), out=a)
-        a *= np.subtract(1.0, f3, out=b)
-        np.subtract(f1, np.subtract(f3, f2, out=b), out=b)
-        a -= np.square(b, out=b)
-        return a >= -EPS_CMP
+        q = ws.take((4, f1.size))
+        for level, hi, lo in zip(pi, (f1, f2, f3, 1.0), (0.0, f1, f2, f3)):
+            np.subtract(hi, lo, out=q[level])
+        np.multiply(4.0, q[0], out=q[0])
+        q[0] *= q[3]
+        q[0] -= np.square(np.subtract(q[1], q[2], out=q[1]), out=q[1])
+        return q[0] >= -EPS_CMP
 
 
 def _tn_mask(samples: np.ndarray, gamma: np.ndarray, ws: Workspace = FRESH) -> np.ndarray:
@@ -105,60 +109,76 @@ def _tn_mask(samples: np.ndarray, gamma: np.ndarray, ws: Workspace = FRESH) -> n
         line, f = ws.take(r.shape), ws.take((3, r.shape[1]))
         for fk, x0 in zip(f, np.cumsum(gamma[list(_DECISIVE_ORDER)])[:3]):
             np.minimum(np.min(np.add(np.multiply(r, x0, out=line), phi, out=line), axis=0, out=fk), 1.0, out=fk)
-        return _non_entanglable(*f, ws)
+        return _non_entanglable(_DECISIVE_ORDER, *f, ws)
 
 
 def _cn_mask(samples: np.ndarray, gamma: np.ndarray, ws: Workspace = FRESH) -> np.ndarray:
-    """Vertex test: every extreme point of the catalysable future must stay
-    thermally non-entanglable.  Exact whenever the non-entanglable set is
-    convex (it is at beta=0, and numerically for beta > 0).
+    """Rows of `samples` whose whole catalysable future is thermally non-entanglable.
 
-    The extreme point of level order pi has the fixed knots cumsum(gamma[pi])
-    and the heights h(x) = min(s_1 x, 1 - s_d (1 - x), 1) there (s_1, s_d the
-    row's largest and smallest slope).  h is concave and non-decreasing, so the
-    point's populations are non-negative, its slopes fall along pi and its
-    thermomajorisation curve is the chord through those knots.  That curve is
-    therefore read directly at the three abscissae of the decisive order, as
-    `_tn_mask` reads a row's curve, with no vertex built and no row sorted;
-    its increments between them are the decisive point's populations.
-    Heights and chords are cached by their abscissae, so orders that share a
-    knot or a segment reuse one array, equal to what a fresh evaluation gives.
-    The rows are read as the columns `samples.T`, with no copy, and every
-    row-sized array is taken from the workspace `ws`.
+    For a row q with largest and smallest slopes s_1, s_d, the catalysable
+    future below both tangent bounds, {q' : c_q' <= min(t_1, t_d)}, is
+    R = {q' : c_q' <= h} with h(x) = min(s_1 x, 1 - s_d (1 - x), 1): both
+    bounds are concave, so by the subset lemma (below) each set is decided
+    at the Gibbs subsums gamma(S) of proper subsets, which lie in
+    [gamma_min, 1 - gamma_min], where t_1 and t_d are the lines s_1 x and
+    1 - s_d (1 - x).  The mask tests R ⊆ TN exactly, by testing R's extreme
+    points against NE:
+
+    - R is a base polytope.  h is concave, non-decreasing, h(0) = 0 and
+      h(1) = 1, so F(S) = h(gamma(S)) is submodular.  By the subset lemma
+      (`region_masks`: a concave h bounds c_q' iff q'(S) <= h(gamma(S)) for
+      every level subset S), R = {q' : q'(S) <= F(S), q'(all) = 1}, the base
+      polytope of F (q' >= 0 follows, as q'_i >= 1 - h(1 - gamma_i) >= 0).
+      Its vertices are the greedy points (Edmonds, 1970): along a level order
+      pi the populations are the increments of h at the knots
+      cumsum(gamma[pi]), which is `order_vertices(_c_plus_heights)`, the C+
+      vertices of `c_plus_vertices`.
+    - R is closed under thermal operations: q'' in T+(q') means
+      c_q'' <= c_q' <= h.
+    - NE = {q' : 4 q'_0 q'_3 >= (q'_1 - q'_2)^2}, the states no
+      energy-preserving unitary entangles, is convex on the simplex: with
+      q'_0, q'_3 >= 0 it is a rotated second-order cone, at every beta.
+    - So R ⊆ TN iff R ⊆ NE (TN ⊆ NE; and if R ⊆ NE, every q' in R has
+      T+(q') ⊆ R ⊆ NE, so q' in TN) iff every C+ vertex lies in NE
+      (R is their convex hull and NE is convex).
+
+    Each vertex is tested with `unitary_entanglable`'s margin, so the mask is
+    exact up to EPS_CMP at the vertices: a vertex whose margin lies in
+    [-EPS_CMP, 0) is accepted as `unitary_entanglable` accepts it.  The
+    tolerated set is not itself convex, so a point of R between such
+    vertices can have a margin below -EPS_CMP, but not below
+    -(2 s sqrt(EPS_CMP) + EPS_CMP) with s = (4 q'_0 + q'_3) / 2 <= 2.  (With
+    x = 4 q'_0, y = q'_3, w = (x - y) / 2, z = q'_1 - q'_2 and
+    r = |(w, z)|, the margin is s^2 - r^2; an accepted vertex has
+    r - s <= sqrt(EPS_CMP), and r - s is convex in q', so its maximum over R
+    is at a vertex; then s^2 - r^2 = (s - r)(s + r) gives the bound.)
+
+    Only orders with level 1 before level 2 are tested (12 of 24): swapping
+    the degenerate middle pair keeps the knots, so it only swaps q'_1 and
+    q'_2, and the margin is symmetric in them.  Orders with equal Gibbs
+    weights in the same places are not merged beyond that swap, because the
+    margin, unlike TN, depends on which level holds which population.  The
+    heights h are cached by their abscissae, so orders that share a knot
+    reuse one array, equal to a fresh evaluation.  The rows are read as the
+    columns `samples.T`, with no copy, and every row-sized array is taken
+    from the workspace `ws`.
     """
     with ws.frame():
         s1, sd = extreme_slopes(samples.T, gamma, ws)
-        heights = {0.0: 0.0, 1.0: 1.0}  # h at each knot abscissa, shared by the orders
-        chords = {}  # the curve at a probe, keyed by the segment's two knots and the probe
+        heights = {}  # h at each knot abscissa, shared by the orders
 
-        def chord(xs: np.ndarray, x0: np.float64) -> np.ndarray:
-            # the curve through (xs, h(xs)) at x0, on the segment `segment_index` picks
-            j = int(segment_index(xs, x0))
-            lo, hi = xs[j], xs[j + 1]
-            if (lo, hi, x0) not in chords:
-                for x in (lo, hi):
-                    if x not in heights:
-                        h = ws.take(s1.shape)
-                        with ws.frame():
-                            tail = ws.take(s1.shape)
-                            np.subtract(1.0, np.multiply(sd, 1.0 - x, out=tail), out=tail)
-                            heights[x] = np.minimum(np.minimum(np.multiply(s1, x, out=h), tail, out=h), 1.0, out=h)
-                c = ws.take(s1.shape)
-                np.subtract(heights[hi], heights[lo], out=c)
-                chords[lo, hi, x0] = np.add(heights[lo], np.multiply((x0 - lo) / (hi - lo), c, out=c), out=c)
-            return chords[lo, hi, x0]
+        def h(x: np.float64) -> np.ndarray:
+            if x not in heights:
+                out = heights[x] = ws.take(s1.shape)
+                with ws.frame():
+                    tail = ws.take(s1.shape)
+                    np.subtract(1.0, np.multiply(sd, 1.0 - x, out=tail), out=tail)
+                    np.minimum(np.minimum(np.multiply(s1, x, out=out), tail, out=out), 1.0, out=out)
+            return heights[x]
 
-        probes = np.cumsum(gamma[list(_DECISIVE_ORDER)])[:3]
         out = np.ones(s1.size, dtype=bool)
-        seen: set[tuple[float, ...]] = set()
-        for pi in permutations(range(4)):
-            key = tuple(gamma[list(pi)])
-            if key in seen:  # degenerate middle levels give duplicate knot sets
-                continue
-            seen.add(key)
-            xs = np.concatenate(([0.0], np.cumsum(gamma[list(pi)])))
-            xs[-1] = 1.0
-            out &= _non_entanglable(*(chord(xs, x0) for x0 in probes), ws)
+        for pi in _CN_ORDERS:
+            out &= _non_entanglable(pi, *map(h, np.cumsum(gamma[list(pi)])[:3]), ws)
             if not out.any():
                 break
         return out
@@ -167,36 +187,25 @@ def _cn_mask(samples: np.ndarray, gamma: np.ndarray, ws: Workspace = FRESH) -> n
 def in_CN(p, cfg: TwoQubitConfig, samples: int = 20_000, seed: int = DEFAULT_SEED) -> bool:
     """True iff not even a strict catalyst can open a path to entanglement.
 
-    One-sided numeric classifier (sound when False).  Two screens come
-    first: the state must lie in TN (`in_TN`), and every extreme point of
-    its catalysable future must stay thermally non-entanglable, which
-    `_cn_mask` reads off the state's row with no vertex built.  Rejection
-    samples from the joint region are then re-screened as `in_TN` would, by
-    `_tn_mask`, which sorts no sample.
+    The state must lie in TN (`in_TN`), and its whole catalysable future R,
+    the region between the first- and last-rank tangent bounds, must lie in
+    TN, which `_cn_mask` decides exactly (up to EPS_CMP at the vertices) from
+    R's extreme points, the C+ vertices; the proof is in its docstring.  No
+    sample is drawn: `samples` and `seed` are accepted for callers of the
+    sampled classifier and have no effect.
 
-    The first screen stands for the screen of every future extreme point.
-    Proof.  `in_TN(x)` holds iff no state of the future T+(x) is unitarily
+    The first screen is implied by the second (p lies in R), up to rounding,
+    and stands for the screen of every future extreme point.  Proof.
+    `in_TN(x)` holds iff no state of the future T+(x) is unitarily
     entanglable, which the decisive extreme point of T+(x) decides.  If
-    `in_TN(p)`, every future extreme point v has T+(v) ⊆ T+(p), so `in_TN(v)`.
-    Conversely the decisive extreme point v* of T+(p) is one of them, and it
-    is its own decisive extreme point (its slopes already fall along the
-    decisive order), so `in_TN(v*)` is the test `in_TN(p)` makes.  Hence
-    every future extreme point lies in TN iff p does.
+    `in_TN(p)`, every future extreme point v has T+(v) ⊆ T+(p), so
+    `in_TN(v)`.  Conversely the decisive extreme point v* of T+(p) is one of
+    them, and it is its own decisive extreme point (its slopes already fall
+    along the decisive order), so `in_TN(v*)` is the test `in_TN(p)` makes.
+    Hence every future extreme point lies in TN iff p does.
     """
     probs = _probs(p)
-    spec = cfg.spectrum()
-    gamma = spec.gibbs
-    if not (in_TN(probs, cfg) and _cn_mask(probs[None], gamma)[0]):
-        return False
-    t1 = tangent_bound_curve(probs, spec, 1)
-    td = tangent_bound_curve(probs, spec, 4)
-    ws = Workspace()
-
-    def stays_out(draws: np.ndarray) -> bool:
-        (inside,) = _Chunk(draws, gamma, ws).under((t1, td))
-        return not inside.any() or bool(_tn_mask(_kept_rows(draws, inside, ws), gamma, ws).all())
-
-    return all(_over_chunks(4, samples, seed, stays_out, ws))
+    return in_TN(probs, cfg) and bool(_cn_mask(probs[None], cfg.spectrum().gibbs)[0])
 
 
 def p_star(beta: float) -> Dist:

@@ -3,13 +3,25 @@
 Each reads curves from their knot matrices (`_batch.batch_curves`), the way
 the library read them before the LP-dual kernels (`_batch.conjugate_rows`,
 `_batch.conjugates`) replaced them: row-versus-row domination as
-`curve_dominates` decides it, and domination of a fixed curve.
+`curve_dominates` decides it, and domination of a fixed curve.  `segment_index`
+picks the segment that `eval_rows_at` reads.
 """
 
 import numpy as np
 
-from thermocone._batch import segment_index
 from thermocone.core import EPS_CMP, TMCurve
+
+
+def segment_index(xs: np.ndarray, x0: float) -> np.ndarray:
+    """Index of the segment holding the abscissa x0 in each row of knots `xs` (last axis).
+
+    A knot above x0 by at most 1e-15 relative counts as reached, so x0 read
+    off a subset sum rounded differently still lands on that knot's segment.
+    The slack is relative: knots below 1e-15 (Gibbs weights at large beta*dE)
+    lie on segments with slopes near 1/gamma, where an absolute slack would
+    skip whole segments.
+    """
+    return np.clip((xs <= x0 + 1e-15 * x0).sum(axis=-1) - 1, 0, xs.shape[-1] - 2)
 
 
 def eval_rows_at(xs: np.ndarray, ys: np.ndarray, x0: float) -> np.ndarray:

@@ -21,10 +21,9 @@ from thermocone import (
     tm_curve,
 )
 from thermocone import core
-from thermocone._batch import segment_index
 from thermocone.core import EPS_SLOPE
 
-from curve_oracles import eval_rows_at
+from curve_oracles import eval_rows_at, segment_index
 from test_cooling_search import enum_cooling, fields
 
 # levels 2 and 3 carry Gibbs weights near 7e-16 and 5e-16: the last gap of
