@@ -3,8 +3,10 @@
 Rows of a sample matrix are treated as independent states; curves are held as
 padded knot matrices so whole batches can be classified without Python-level
 loops.  Extreme points of the cones are built the same way, one row per level
-order.  Semantics match the scalar functions in `core`/`catalysis` exactly
-(same tolerances, same tie-break).
+order.  A question about one state is a one-row call of the same kernels:
+`catalysable_future_member`, `catalysable_past_member`, `in_region_Ti` and
+`in_TN` classify the state as the only row of a batch, so each question has
+one classifier, with the tolerances and tie-breaks of the sampled estimates.
 """
 
 from __future__ import annotations
@@ -179,6 +181,21 @@ def extreme_slopes(cols: np.ndarray, gamma: np.ndarray, ws: Workspace = FRESH) -
             np.maximum(s1, ratio, out=s1)
             np.minimum(sd, ratio, out=sd)
     return s1, sd
+
+
+def tangent_cap(s1, sd, x, out: np.ndarray | None = None, tail: np.ndarray | None = None) -> np.ndarray:
+    """min(s1 x, 1 - sd (1 - x)), the lower of a state's two tangent lines at x.
+
+    s1 and sd are the largest and smallest slopes (scalars or one per row) and
+    x the abscissae.  The result is written into `out` and the second line
+    into `tail`, scratch of the result's shape (say from a `Workspace`), or
+    into fresh arrays where they are None.  It is not clamped at 1, so
+    callers that need heights in [0, 1] clamp it themselves.
+    """
+    tail = np.multiply(sd, np.subtract(1.0, x), out=tail)
+    np.subtract(1.0, tail, out=tail)
+    out = np.multiply(s1, x, out=out)
+    return np.minimum(out, tail, out=out)
 
 
 def conjugates(cols: np.ndarray, gamma: np.ndarray, slopes: np.ndarray, ws: Workspace = FRESH) -> np.ndarray:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._batch import conjugates, distinct_vertices, order_vertices
+from ._batch import conjugates, distinct_vertices, order_vertices, tangent_cap
 from .core import (
     Dist,
     EnergySpectrum,
@@ -28,14 +28,15 @@ from .core import (
     _probs,
     _simplex_rows,
     _slope_order,
+    _tangent_bound,
     beta_order,
     compare,
-    curve_dominates,
     tensor,
     thermo_majorizes,
     tm_curve,
 )
 from .cones import ConeVertices
+from .volume import _Bounds, _Chunk
 
 __all__ = [
     "NotIncomparableError",
@@ -148,20 +149,6 @@ def tangent_bound_curve(p, spec: EnergySpectrum, i: int) -> TMCurve:
     return _tangent_bound(ratios[order], gamma, i == 1)
 
 
-def _tangent_bound(slopes: np.ndarray, gamma: np.ndarray, first: bool) -> TMCurve:
-    """t_1 (`first`) or t_d of a state whose slopes, non-increasing, are `slopes`."""
-    if gamma.size == 1:
-        return TMCurve(np.array([0.0, 1.0]), np.array([0.0, 1.0]))
-    gmin = float(gamma.min())
-    if first:
-        x0 = min(1.0 - gmin, np.nextafter(1.0, 0.0))
-        return TMCurve(np.array([0.0, x0, 1.0]), np.array([0.0, slopes[0] * x0, 1.0]))
-    return TMCurve(
-        np.array([0.0, gmin, 1.0]),
-        np.array([0.0, 1.0 - slopes[-1] * (1.0 - gmin), 1.0]),
-    )
-
-
 def project_simplex(tv: TangentVector, spec: EnergySpectrum) -> Dist:
     """Project a tangent vector back onto the probability simplex.
 
@@ -188,45 +175,49 @@ def catalytic_condition(p, q, spec: EnergySpectrum) -> bool:
     return bool(sp[0] > sq[0] + EPS_CMP and sp[-1] < sq[-1] - EPS_CMP)
 
 
+def _one_row(q, spec: EnergySpectrum) -> _Chunk:
+    # `q`, checked against `spec`, as the only row of a chunk for the region kernels
+    probs = _probs(q)
+    return _Chunk(probs[None], _matched_gibbs(spec, probs.size))
+
+
 def in_region_Ti(q, p, spec: EnergySpectrum, i: int) -> bool:
     """Membership of `q` in the convex hull of p's rank-i tangent vectors.
 
     Equals membership in the union of the tangent futures, which collapses to
-    domination by the single bound curve (see `tangent_bound_curve`).
+    domination by the single bound curve (see `tangent_bound_curve`).  `q` is
+    classified as the only row of a `region_masks` batch (`_Chunk.under`),
+    so q's own curve is never built and never refused.
     """
     bound = tangent_bound_curve(p, spec, i)
-    return curve_dominates(bound, tm_curve(q, spec))
+    (inside,) = _one_row(q, spec).under((bound,))
+    return bool(inside[0])
 
 
 def catalysable_future_member(q, p, spec: EnergySpectrum) -> bool:
     """True iff `q` is incomparable with `p` yet inside both tangent regions.
 
     This is the region no strict catalyst can take `p` beyond; membership does
-    not guarantee that a catalyst exists.
+    not guarantee that a catalyst exists.  The answer is the "C+" mask of
+    `region_masks` for `q` as a one-row batch, so it agrees with `mc_volume`
+    and `region_masks` on every state; q's own curve is never built and
+    never refused.
     """
-    if compare(p, q, spec) is not Relation.INCOMPARABLE:
-        return False
-    cq = tm_curve(q, spec)
-    d = _probs(p).size
-    return curve_dominates(tangent_bound_curve(p, spec, 1), cq) and curve_dominates(
-        tangent_bound_curve(p, spec, d), cq
-    )
+    return bool(_Bounds.of(_probs(p), spec).region("C+", _one_row(q, spec))[0])
 
 
 def catalysable_past_member(q, p, spec: EnergySpectrum) -> bool:
-    """True iff `q` is incomparable with `p` and outside both tangent regions."""
-    if compare(p, q, spec) is not Relation.INCOMPARABLE:
-        return False
-    cq = tm_curve(q, spec)
-    d = _probs(p).size
-    return not curve_dominates(tangent_bound_curve(p, spec, 1), cq) and not curve_dominates(
-        tangent_bound_curve(p, spec, d), cq
-    )
+    """True iff `q` is incomparable with `p` and outside both tangent regions.
+
+    The "C-" mask of `region_masks` for `q` as a one-row batch, like
+    `catalysable_future_member`.
+    """
+    return bool(_Bounds.of(_probs(p), spec).region("C-", _one_row(q, spec))[0])
 
 
 def _c_plus_heights(probs: np.ndarray, spec: EnergySpectrum):
     s1, sd = beta_order(probs, spec).slopes[[0, -1]]
-    return lambda knots: np.minimum(np.minimum(s1 * knots, 1.0 - sd * (1.0 - knots)), 1.0)
+    return lambda knots: np.minimum(tangent_cap(s1, sd, knots), 1.0)
 
 
 def c_plus_vertex(p, spec: EnergySpectrum, pi) -> Dist:

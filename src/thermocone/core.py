@@ -117,14 +117,7 @@ class Dist:
         p = np.array(self.probs, dtype=float).reshape(-1)
         if p.size < 1:
             raise ValueError("empty distribution")
-        if not np.all(np.isfinite(p)):
-            raise ValueError("distribution entries must be finite")
-        if p.min() < -EPS_NEG:
-            raise ValueError(f"negative probability {p.min():.3e} below -{EPS_NEG:.0e}")
-        np.clip(p, 0.0, None, out=p)
-        if abs(p.sum() - 1.0) > EPS_SUM:
-            raise ValueError(f"probabilities sum to {float(p.sum()):.12g}, not 1")
-        object.__setattr__(self, "probs", _freeze(p))
+        object.__setattr__(self, "probs", _simplex_rows(p))
 
     def __len__(self) -> int:
         return self.probs.size
@@ -140,13 +133,17 @@ class Dist:
 
 
 def _simplex_rows(m: np.ndarray) -> np.ndarray:
-    """Check every row of `m` by Dist's rules at once; clamps in place, then read-only."""
-    if not np.all(np.isfinite(m)):
+    """Check every row of `m` by Dist's rules at once; clamps in place, then read-only.
+
+    The rows run along the last axis, so a 1-d `m` is one row (`Dist`): its
+    sum and, through `m[bad][0]`, its message are those of the row.
+    """
+    if not np.isfinite(m).all():
         raise ValueError("distribution entries must be finite")
     if m.min() < -EPS_NEG:
         raise ValueError(f"negative probability {m.min():.3e} below -{EPS_NEG:.0e}")
     np.clip(m, 0.0, None, out=m)
-    bad = np.abs(m.sum(axis=1) - 1.0) > EPS_SUM
+    bad = np.abs(m.sum(axis=-1) - 1.0) > EPS_SUM
     if bad.any():
         raise ValueError(f"probabilities sum to {float(m[bad][0].sum()):.12g}, not 1")
     return _freeze(m)
@@ -329,6 +326,20 @@ def _beta_curve(probs: np.ndarray, gamma: np.ndarray, idx: np.ndarray) -> TMCurv
             raise RuntimeError("non-concave curve from a beta-ordered distribution")
         xs, ys = hull
     return TMCurve(xs, ys)
+
+
+def _tangent_bound(slopes: np.ndarray, gamma: np.ndarray, first: bool) -> TMCurve:
+    """t_1 (`first`) or t_d of a state whose slopes, non-increasing, are `slopes` (`tangent_bound_curve`)."""
+    if gamma.size == 1:
+        return TMCurve(np.array([0.0, 1.0]), np.array([0.0, 1.0]))
+    gmin = float(gamma.min())
+    if first:
+        x0 = min(1.0 - gmin, np.nextafter(1.0, 0.0))
+        return TMCurve(np.array([0.0, x0, 1.0]), np.array([0.0, slopes[0] * x0, 1.0]))
+    return TMCurve(
+        np.array([0.0, gmin, 1.0]),
+        np.array([0.0, 1.0 - slopes[-1] * (1.0 - gmin), 1.0]),
+    )
 
 
 def _upper_hull(xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -15,9 +15,8 @@ from itertools import permutations
 
 import numpy as np
 
-from ._batch import FRESH, Workspace, conjugate_rows, extreme_slopes
-from .cones import vertex_for_order
-from .core import Dist, EnergySpectrum, EPS_CMP, _probs
+from ._batch import FRESH, Workspace, conjugate_rows, extreme_slopes, tangent_cap
+from .core import Dist, EnergySpectrum, EPS_CMP, _matched_gibbs, _probs
 from .volume import DEFAULT_SEED, VolumeEstimate, _estimate, _kept_rows, _over_chunks
 
 __all__ = [
@@ -62,11 +61,14 @@ def unitary_entanglable(p) -> bool:
 def in_TN(p, cfg: TwoQubitConfig) -> bool:
     """True iff no thermal operation can make the state entanglable.
 
-    Decided by the single future extreme point with the decisive level order.
-    Which of the degenerate middle pair holds more does not matter (`_tn_mask`).
+    Decided by the single future extreme point with the decisive level order,
+    tested with `unitary_entanglable`'s margin.  Which of the degenerate
+    middle pair holds more does not matter.  The state is classified as the
+    only row of a `_tn_mask` batch, the kernel of `volume_ratio_CN_TN`, so
+    its curve is read through `conjugate_rows` and never refused.
     """
-    vertex = vertex_for_order(p, cfg.spectrum(), _DECISIVE_ORDER)
-    return not unitary_entanglable(vertex)
+    probs = _probs(p)
+    return bool(_tn_mask(probs[None], _matched_gibbs(cfg.spectrum(), probs.size))[0])
 
 
 def _non_entanglable(pi, f1: np.ndarray, f2: np.ndarray, f3: np.ndarray, ws: Workspace) -> np.ndarray:
@@ -90,7 +92,7 @@ def _non_entanglable(pi, f1: np.ndarray, f2: np.ndarray, f3: np.ndarray, ws: Wor
 
 
 def _tn_mask(samples: np.ndarray, gamma: np.ndarray, ws: Workspace = FRESH) -> np.ndarray:
-    """Rows of `samples` that `in_TN` accepts, read off each row's curve with no sort.
+    """Rows of `samples` in TN (`in_TN` is its one-row call), read off each row's curve with no sort.
 
     The decisive extreme point's populations are the increments of the row's
     curve c_q at the abscissae cumsum(gamma[_DECISIVE_ORDER]), and c_q there
@@ -166,14 +168,12 @@ def _cn_mask(samples: np.ndarray, gamma: np.ndarray, ws: Workspace = FRESH) -> n
     with ws.frame():
         s1, sd = extreme_slopes(samples.T, gamma, ws)
         heights = {}  # h at each knot abscissa, shared by the orders
+        tail = ws.take(s1.shape)
 
         def h(x: np.float64) -> np.ndarray:
             if x not in heights:
-                out = heights[x] = ws.take(s1.shape)
-                with ws.frame():
-                    tail = ws.take(s1.shape)
-                    np.subtract(1.0, np.multiply(sd, 1.0 - x, out=tail), out=tail)
-                    np.minimum(np.minimum(np.multiply(s1, x, out=out), tail, out=out), 1.0, out=out)
+                cap = heights[x] = tangent_cap(s1, sd, x, ws.take(s1.shape), tail)
+                np.minimum(cap, 1.0, out=cap)
             return heights[x]
 
         out = np.ones(s1.size, dtype=bool)

@@ -16,9 +16,8 @@ from functools import cached_property
 
 import numpy as np
 
-from ._batch import FRESH, Workspace, batch_curves, conjugate_rows, extreme_slopes, subset_masses
-from .catalysis import _tangent_bound
-from .core import EPS_CMP, EnergySpectrum, TMCurve, _beta_curve, _matched_gibbs, _probs, _slope_order
+from ._batch import FRESH, Workspace, batch_curves, conjugate_rows, extreme_slopes, subset_masses, tangent_cap
+from .core import EPS_CMP, EnergySpectrum, TMCurve, _beta_curve, _matched_gibbs, _probs, _slope_order, _tangent_bound
 
 __all__ = [
     "DEFAULT_SEED",
@@ -35,7 +34,7 @@ __all__ = [
 DEFAULT_SEED = 1729
 DEFAULT_SAMPLES = 100_000
 _CHUNK = 1 << 14
-_SUBSET_DIM = 6  # largest d whose 2^d - 2 subset masses are built for every row
+_SUBSET_DIM = 7  # largest d whose 2^d - 2 subset masses are built for every row
 _MASS_BYTES = 1 << 21  # subset masses held at once per chunk
 _SLACK = 1e-12  # rounding allowance of the tangent screen in `_Chunk.above`
 
@@ -207,11 +206,9 @@ class _Chunk:
         out = np.zeros(len(self.draws), dtype=bool)
         with ws.frame():
             rows = rows.copy()
-            reach, tail = ws.take((2, s1.size))
+            cap, tail = ws.take((2, s1.size))
             for xk, yk in knots:
-                np.multiply(xk, s1, out=reach)
-                np.subtract(1.0, np.multiply(1.0 - xk, sd, out=tail), out=tail)
-                rows &= np.minimum(reach, tail, out=reach) >= yk - (EPS_CMP + _SLACK)
+                rows &= tangent_cap(s1, sd, xk, cap, tail) >= yk - (EPS_CMP + _SLACK)
         if rows.any():
             with ws.frame():
                 r, phi = conjugate_rows(_kept_rows(self.draws, rows, ws).T, self.gamma, ws)

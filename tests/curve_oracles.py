@@ -5,11 +5,28 @@ the library read them before the LP-dual kernels (`_batch.conjugate_rows`,
 `_batch.conjugates`) replaced them: row-versus-row domination as
 `curve_dominates` decides it, and domination of a fixed curve.  `segment_index`
 picks the segment that `eval_rows_at` reads.
+
+The scalar classifiers at the end are the bodies `catalysable_future_member`,
+`catalysable_past_member`, `in_region_Ti` and `in_TN` had before they became
+one-row calls of the mask kernels: each builds the state's own curve
+(`tm_curve`, which refuses some curves at large beta) or its decisive future
+extreme point (`vertex_for_order`) and compares it as `compare` and
+`curve_dominates` do.
 """
 
 import numpy as np
 
-from thermocone.core import EPS_CMP, TMCurve
+from thermocone import (
+    Relation,
+    compare,
+    curve_dominates,
+    tangent_bound_curve,
+    tm_curve,
+    unitary_entanglable,
+    vertex_for_order,
+)
+from thermocone.core import EPS_CMP, TMCurve, _probs
+from thermocone.entanglement import _DECISIVE_ORDER
 
 
 def segment_index(xs: np.ndarray, x0: float) -> np.ndarray:
@@ -80,3 +97,33 @@ def rows_dominate_fixed(xs: np.ndarray, ys: np.ndarray, curve: TMCurve, tol: flo
     for x0, y0 in zip(curve.xs[1:-1], curve.ys[1:-1]):
         ok &= eval_rows_at(xs, ys, float(x0)) >= y0 - tol
     return ok
+
+
+def in_region_Ti(q, p, spec, i):
+    bound = tangent_bound_curve(p, spec, i)
+    return curve_dominates(bound, tm_curve(q, spec))
+
+
+def catalysable_future_member(q, p, spec):
+    if compare(p, q, spec) is not Relation.INCOMPARABLE:
+        return False
+    cq = tm_curve(q, spec)
+    d = _probs(p).size
+    return curve_dominates(tangent_bound_curve(p, spec, 1), cq) and curve_dominates(
+        tangent_bound_curve(p, spec, d), cq
+    )
+
+
+def catalysable_past_member(q, p, spec):
+    if compare(p, q, spec) is not Relation.INCOMPARABLE:
+        return False
+    cq = tm_curve(q, spec)
+    d = _probs(p).size
+    return not curve_dominates(tangent_bound_curve(p, spec, 1), cq) and not curve_dominates(
+        tangent_bound_curve(p, spec, d), cq
+    )
+
+
+def in_TN(p, cfg):
+    vertex = vertex_for_order(p, cfg.spectrum(), _DECISIVE_ORDER)
+    return not unitary_entanglable(vertex)
