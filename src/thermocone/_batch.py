@@ -218,6 +218,50 @@ def conjugates(cols: np.ndarray, gamma: np.ndarray, slopes: np.ndarray, ws: Work
     return phi
 
 
+def dominance_margins(upper: np.ndarray, lower: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+    """Margin by which each column P of the (m, n) array `upper` thermomajorises the same column Q of `lower`.
+
+    The (n,) result is min over P's own slopes s = P_i / gamma_i of
+    phi_P(s) - phi_Q(s) (`conjugates`), and P thermomajorises Q within tol
+    (c_P >= c_Q - tol on [0, 1]) iff the margin is >= -tol: no curve is
+    built and no column sorted.  `compare` reads both directions of a pair,
+    and `search_qubit_catalyst` every grid point, from one call.
+
+    Proof.  phi_P is the Legendre conjugate of P's concave curve,
+    phi_P(s) = max_x [c_P(x) - s x] (the maximum sits at a knot, the mass of
+    the prefix {i : P_i / gamma_i > s} of P's beta-order), and conversely
+    c_P(x) = min over s >= 0 of [s x + phi_P(s)] by LP duality
+    (`conjugate_rows`).  So c_P >= c_Q - tol everywhere gives
+    phi_P(s) >= max_x [c_Q(x) - s x] - tol = phi_Q(s) - tol, and
+    phi_P >= phi_Q - tol for every s >= 0 gives
+    c_P(x) >= min_s [s x + phi_Q(s)] - tol = c_Q(x) - tol.  Both conjugates
+    are convex and piecewise linear, equal to 1 at s = 0, and phi_P bends
+    only at P's slopes.  Between s = 0 and the smallest slope, and between
+    two consecutive slopes, phi_P is linear and phi_Q convex, so
+    phi_P - phi_Q is concave there and smallest at an end: s = 0, where it
+    is 0, or one of P's slopes.  Beyond the largest slope phi_P = 0 and
+    -phi_Q does not fall, so the difference is smallest at that slope.  So
+    the margin is the minimum over every s >= 0, and as the equivalence
+    holds for every tol >= 0, it equals min_x [c_P(x) - c_Q(x)] in exact
+    arithmetic.  This takes columns that sum to 1; a column that `Dist`
+    accepts with a sum off 1 (by up to EPS_SUM) is still read at P's slopes
+    only, with no curve pinned to (1, 1).
+
+    Rounding.  Every unclamped term P_i - s gamma_i or Q_i - s gamma_i lies
+    in (0, 1] with s gamma_i < 1, so each is off by at most about 1.5 ulps
+    of 1, and each conjugate, a sum of m such terms, by about 2m: the
+    margin is off by at most about 4m + 1 ulps of 1 (under 1.5e-14 up to
+    m = 16, the joint states of the search at d = 8).  That is as small as
+    the sorted curves' own interpolation error, so only a pair whose margin
+    lies within that band of -tol can get another verdict than the
+    sorted-curve test oracle (`curve_compare` in `tests/curve_oracles.py`)
+    gives it.  Where the oracle's `tm_curve` refuses a curve (a Gibbs
+    weight lost to rounding, or a knot off its hull) the margin answers.
+    """
+    slopes = upper / gamma[:, None]
+    return np.min(conjugates(upper, gamma, slopes) - conjugates(lower, gamma, slopes), axis=0)
+
+
 def conjugate_rows(cols: np.ndarray, gamma: np.ndarray, ws: Workspace = FRESH) -> tuple[np.ndarray, np.ndarray]:
     """Slopes r_j = q_j / gamma_j and conjugates phi_q(r_j) of each column q of the (d, n) array `cols`.
 

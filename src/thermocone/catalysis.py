@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._batch import conjugates, distinct_vertices, order_vertices, tangent_cap
+from ._batch import distinct_vertices, dominance_margins, order_vertices, tangent_cap
 from .core import (
     Dist,
     EnergySpectrum,
@@ -103,10 +103,10 @@ def tangent_vector(p, spec: EnergySpectrum, n: int, pi) -> TangentVector:
         raise ValueError(f"segment rank n={n} outside 1..{d}")
     gamma = _matched_gibbs(spec, d)
     idx = _perm(pi, d)
-    sv = beta_order(probs, spec)
-    s_n = sv.slopes[n - 1]
-    p_sum = float(np.cumsum(probs[sv.order])[n - 1])
-    g_sum = float(np.cumsum(gamma[sv.order])[n - 1])
+    ratios, order = _slope_order(probs, gamma)
+    s_n = ratios[order[n - 1]]
+    p_sum = float(np.cumsum(probs[order])[n - 1])
+    g_sum = float(np.cumsum(gamma[order])[n - 1])
     first = p_sum - s_n * (g_sum - gamma[idx[0]])
     entries = np.empty(d)
     entries[idx[0]] = first
@@ -216,7 +216,8 @@ def catalysable_past_member(q, p, spec: EnergySpectrum) -> bool:
 
 
 def _c_plus_heights(probs: np.ndarray, spec: EnergySpectrum):
-    s1, sd = beta_order(probs, spec).slopes[[0, -1]]
+    ratios, order = _slope_order(probs, _matched_gibbs(spec, probs.size))
+    s1, sd = ratios[order[[0, -1]]]
     return lambda knots: np.minimum(tangent_cap(s1, sd, knots), 1.0)
 
 
@@ -381,15 +382,18 @@ def qubit_catalyst_spectrum(beta: float, gibbs_r: float) -> EnergySpectrum:
 
 
 def verify_catalyst(p, q, spec: EnergySpectrum, r, spec_r: EnergySpectrum) -> bool:
-    """True iff attaching catalyst `r` makes the joint transformation possible."""
+    """True iff attaching catalyst `r` makes the joint transformation possible.
+
+    The joint states are the products `_joint_cols` builds, in the same
+    doubles, and the verdict is `compare`'s margin, so `search_qubit_catalyst`
+    answers as this does at each of its grid points.
+    """
     joint_p, joint_spec = tensor(p, spec, r, spec_r)
     joint_q, _ = tensor(q, spec, r, spec_r)
     return thermo_majorizes(joint_p, joint_q, joint_spec)
 
 
 _GRID_BLOCK = 4096  # grid points per array pass; bounds memory for large grids
-_EDGE = 1e-13  # margin this close to -EPS_CMP: rounding could decide it, so `verify_catalyst` does
-_TINY_GIBBS = 1e-12  # joint Gibbs weight below which every point goes to `verify_catalyst`
 
 
 def _state_probs(s, spec: EnergySpectrum) -> np.ndarray:
@@ -409,52 +413,14 @@ def _joint_cols(probs: np.ndarray, catalysts: np.ndarray) -> np.ndarray:
 def search_qubit_catalyst(p, q, spec: EnergySpectrum, gibbs_r: float = 0.5, grid_n: int = 200) -> list[float]:
     """Grid-scan qubit catalysts r = (1-t, t) for t = k/grid_n, 0 < k < grid_n.
 
-    Returns every grid point whose catalyst verifies the transformation,
-    exactly the points at which `verify_catalyst` answers True, and raises
-    where that would for states normalised to rounding (see Refusal parity);
-    the grid is deterministic so results are reproducible.  The grid is evaluated in blocks of `_GRID_BLOCK` points:
-    the joint states P = p⊗r and Q = q⊗r are stacked as columns over the
-    joint Gibbs vector gamma, and a point's margin is
-
-        m = min over the 2d slopes s = P_i / gamma_i of [phi_P(s) - phi_Q(s)],
-
-    with phi_P(s) = sum_i max(P_i - s gamma_i, 0) (`_batch.conjugates`): no
-    curve is built and no row sorted.  The point is a hit iff m >= -EPS_CMP.
-
-    Proof.  `verify_catalyst` asks c_P >= c_Q - tol on [0, 1], tol = EPS_CMP.
-    phi_P is the Legendre conjugate of P's concave curve,
-    phi_P(s) = max_x [c_P(x) - s x] (the maximum sits at a knot, the mass of
-    the prefix {i : P_i / gamma_i > s} of P's beta-order), and conversely
-    c_P(x) = min over s >= 0 of [s x + phi_P(s)] by LP duality
-    (`_batch.conjugate_rows`).  So c_P >= c_Q - tol everywhere gives
-    phi_P(s) >= max_x [c_Q(x) - s x] - tol = phi_Q(s) - tol, and
-    phi_P >= phi_Q - tol for every s >= 0 gives
-    c_P(x) >= min_s [s x + phi_Q(s)] - tol = c_Q(x) - tol.  Both conjugates
-    are convex and piecewise linear, equal to 1 at s = 0, and phi_P bends
-    only at P's slopes.  Between s = 0 and the smallest slope, and between
-    two consecutive slopes, phi_P is linear and phi_Q convex, so
-    phi_P - phi_Q is concave there and smallest at an end: s = 0, where it
-    is 0, or one of P's slopes.  Beyond the largest slope phi_P = 0 and
-    -phi_Q does not fall, so the difference is smallest at that slope.  So
-    m is the minimum over every s >= 0, and as the equivalence holds for
-    every tol >= 0, m equals min_x [c_P(x) - c_Q(x)] in exact arithmetic.  The two computed margins
-    differ only by the rounding of sums of 2d terms, a few ulps of 1 (under
-    1e-15 on 44,000 points at d <= 8); a point whose m lies within `_EDGE`
-    of -EPS_CMP is decided by `verify_catalyst` itself.
-
-    Refusal parity.  `verify_catalyst` refuses a joint curve (`tm_curve`)
-    that repeats an abscissa or has a knot off its hull; both need a joint
-    Gibbs weight within a few ulps of the running sums it is added to (the
-    largest smallest weight among such refusals in a sweep over
-    beta*dE in [28, 40], d = 2..5, was 2.2e-16), and the conjugates refuse
-    nothing.  When the joint Gibbs vector has a weight below `_TINY_GIBBS`
-    the search therefore returns [t for t in grid if verify_catalyst(...)],
-    which answers and refuses as the scalar path does.  This branch goes
-    once `tm_curve` stops refusing repeated abscissae (ROADMAP item 6).
-    A state whose sum is off 1 by more than rounding (`Dist` accepts up to
-    EPS_SUM) is outside this parity: `tm_curve` pins the last knot at
-    (1, 1), so the last segment absorbs the deficit and a joint curve may
-    be refused as non-concave where the conjugates answer.
+    Returns every grid point whose catalyst verifies the transformation; the
+    grid is deterministic so results are reproducible.  The grid is
+    evaluated in blocks of `_GRID_BLOCK` points: the joint states P = p⊗r
+    and Q = q⊗r are stacked as columns over the joint Gibbs vector, and a
+    point is a hit iff its `_batch.dominance_margins` margin is >= -EPS_CMP.
+    `verify_catalyst` builds the same products (`tensor`) and reads the same
+    margin (`compare`), so the hits are exactly the points at which it
+    answers True.
     """
     if grid_n < 2:
         raise ValueError("grid_n must be at least 2")
@@ -463,23 +429,12 @@ def search_qubit_catalyst(p, q, spec: EnergySpectrum, gibbs_r: float = 0.5, grid
     joint_spec = EnergySpectrum(tuple(np.add.outer(spec.energies, spec_r.energies).ravel()), spec.beta)
     probs_q = _state_probs(q, spec)
     gamma = _matched_gibbs(joint_spec, 2 * spec.d)
-
-    def verified(t: float) -> bool:
-        return verify_catalyst(probs_p, probs_q, spec, (1.0 - t, t), spec_r)
-
-    if gamma.min() < _TINY_GIBBS:
-        return [t for t in (np.arange(1, grid_n) / grid_n).tolist() if verified(t)]
     hits = []
     for start in range(1, grid_n, _GRID_BLOCK):
         ts = np.arange(start, min(start + _GRID_BLOCK, grid_n)) / grid_n
         catalysts = np.vstack([1.0 - ts, ts])
-        cols_p, cols_q = _joint_cols(probs_p, catalysts), _joint_cols(probs_q, catalysts)
-        slopes = cols_p / gamma[:, None]
-        margin = np.min(conjugates(cols_p, gamma, slopes) - conjugates(cols_q, gamma, slopes), axis=0)
-        hit = margin >= -EPS_CMP
-        for k in np.flatnonzero(np.abs(margin + EPS_CMP) < _EDGE):
-            hit[k] = verified(float(ts[k]))
-        hits += ts[hit].tolist()
+        margin = dominance_margins(_joint_cols(probs_p, catalysts), _joint_cols(probs_q, catalysts), gamma)
+        hits += ts[margin >= -EPS_CMP].tolist()
     return hits
 
 

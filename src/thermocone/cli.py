@@ -335,41 +335,33 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p: argparse.ArgumentParser, needs_input: bool = True):
+    def common(name: str, needs_input: bool = True, sampled: bool = False) -> argparse.ArgumentParser:
+        # a subcommand offers only the flags it reads; no abbreviations, so a flag it lacks is never
+        # taken for a longer one (`--beta` for `--betas`)
+        p = sub.add_parser(name, allow_abbrev=False)
         if needs_input:
             p.add_argument("--input", required=True, help="canonical JSON state/pair file")
-        p.add_argument("--beta", type=_finite_float, default=None, help="override the file's beta")
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-        p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
+            p.add_argument("--beta", type=_finite_float, default=None, help="override the file's beta")
+        if sampled:
+            p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+            p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
         p.add_argument("--out", default=None, help="write result here instead of stdout")
+        return p
 
     for name in ("curve", "compare", "cone", "catalysable", "dimbound"):
-        common(sub.add_parser(name))
-    p = sub.add_parser("qubit-window")
-    common(p)
-    p.add_argument("--catalyst-gibbs", type=_finite_float, default=None)
-    p = sub.add_parser("search-catalyst")
-    common(p)
+        common(name)
+    common("qubit-window").add_argument("--catalyst-gibbs", type=_finite_float, default=None)
+    p = common("search-catalyst")
     p.add_argument("--catalyst-gibbs", type=_finite_float, default=None)
     p.add_argument("--grid", type=int, default=200)
-    p = sub.add_parser("oracle-check")
-    common(p)
-    p.add_argument("--max-denominator", type=int, default=1000)
-    p = sub.add_parser("volume")
-    common(p)
-    p.add_argument("--region", default="C+", help="one of T+, T-, T0, C+, C-")
-    p = sub.add_parser("isovolume")
-    common(p)
-    p.add_argument("--resolution", type=int, default=10)
-    common(sub.add_parser("entangle"))
-    p = sub.add_parser("entangle-volumes")
-    common(p, needs_input=False)
+    common("oracle-check").add_argument("--max-denominator", type=int, default=1000)
+    common("volume", sampled=True).add_argument("--region", default="C+", help="one of T+, T-, T0, C+, C-")
+    common("isovolume", sampled=True).add_argument("--resolution", type=int, default=10)
+    common("entangle", sampled=True)
+    p = common("entangle-volumes", needs_input=False, sampled=True)
     p.add_argument("--betas", required=True, help="comma-separated inverse temperatures")
-    p = sub.add_parser("cooling")
-    common(p)
-    p.add_argument("--catalytic", action="store_true")
-    p = sub.add_parser("cooling-critical")
-    common(p, needs_input=False)
+    common("cooling").add_argument("--catalytic", action="store_true")
+    p = common("cooling-critical", needs_input=False)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--beta-list", required=True, help="comma-separated inverse temperatures")
     p.add_argument("--j", type=int, default=1)

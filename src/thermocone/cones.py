@@ -8,10 +8,12 @@ from ._batch import distinct_vertices, order_vertices
 from .core import (
     Dist,
     EnergySpectrum,
+    _beta_curve,
+    _matched_gibbs,
     _perm,
     _probs,
     _row_dist,
-    tm_curve,
+    _slope_order,
 )
 
 __all__ = ["ConeVertices", "future_cone_vertices"]
@@ -56,7 +58,8 @@ class ConeVertices:
 
 
 def _curve_heights(probs: np.ndarray, spec: EnergySpectrum):
-    curve = tm_curve(probs, spec)
+    gamma = _matched_gibbs(spec, probs.size)
+    curve = _beta_curve(probs, gamma, _slope_order(probs, gamma)[1])
     return lambda knots: np.interp(knots, curve.xs, curve.ys)
 
 

@@ -386,14 +386,28 @@ def curve_dominates(upper: TMCurve, lower: TMCurve, tol: float = EPS_CMP) -> boo
 
 
 def thermo_majorizes(p, q, spec: EnergySpectrum) -> bool:
-    """True iff the curve of `p` lies above the curve of `q` everywhere."""
-    return curve_dominates(tm_curve(p, spec), tm_curve(q, spec))
+    """True iff the curve of `p` lies above the curve of `q` everywhere (within EPS_CMP; see `compare`)."""
+    return compare(p, q, spec) in (Relation.MAJORIZES, Relation.EQUIVALENT)
 
 
 def compare(p, q, spec: EnergySpectrum) -> Relation:
-    """Relate `p` to `q`: Majorizes / MajorizedBy / Equivalent / Incomparable."""
-    forward = thermo_majorizes(p, q, spec)
-    backward = thermo_majorizes(q, p, spec)
+    """Relate `p` to `q`: Majorizes / MajorizedBy / Equivalent / Incomparable.
+
+    Both directions are read from one `_batch.dominance_margins` call on the
+    columns [p, q] against [q, p]: a direction holds iff its margin, the
+    least gap between the two curves, is >= -EPS_CMP.  No curve is built, so
+    none is refused.  Only a pair within about 1e-14 of that edge (the
+    rounding band stated there) can be decided otherwise than by comparing
+    the sorted curves with `curve_dominates`.
+    """
+    from ._batch import dominance_margins  # _batch imports this module
+
+    a = _probs(p)
+    gamma = _matched_gibbs(spec, a.size)
+    b = _probs(q)
+    _matched_gibbs(spec, b.size)
+    pair = np.stack((a, b), axis=1)
+    forward, backward = dominance_margins(pair, pair[:, ::-1], gamma) >= -EPS_CMP
     if forward and backward:
         return Relation.EQUIVALENT
     if forward:

@@ -3,7 +3,7 @@
 Replicating level i into D_i equal blocks, where D_i/D approximates the Gibbs
 weight gamma_i, turns curve comparison into ordinary majorisation of the
 embedded vectors.  This module is the independent verification path used by
-the test-suite; production comparisons always go through the curves.
+the test-suite; production comparisons go through `compare`.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dist, EnergySpectrum, EPS_CMP, _probs, curve_dominates, tm_curve, _union_xs
+from .core import Dist, EnergySpectrum, EPS_CMP, _probs, thermo_majorizes, tm_curve, _union_xs
 
 __all__ = [
     "RationalGibbs",
@@ -128,7 +128,7 @@ def oracle_report(p, q, spec: EnergySpectrum, max_denominator: int) -> OracleRep
     margin = float(gaps[interior].min()) if np.any(interior) else 0.0
     threshold = spec.d * rg.delta
     return OracleReport(
-        thermo=curve_dominates(cp, cq),
+        thermo=thermo_majorizes(p, q, spec),
         embedded=classical_majorizes(lhs, rhs),
         margin=margin,
         threshold=threshold,

@@ -190,8 +190,9 @@ def in_CN(p, cfg: TwoQubitConfig, samples: int = 20_000, seed: int = DEFAULT_SEE
     The state must lie in TN (`in_TN`), and its whole catalysable future R,
     the region between the first- and last-rank tangent bounds, must lie in
     TN, which `_cn_mask` decides exactly (up to EPS_CMP at the vertices) from
-    R's extreme points, the C+ vertices; the proof is in its docstring.  No
-    sample is drawn: `samples` and `seed` are accepted for callers of the
+    R's extreme points, the C+ vertices; the proof is in its docstring.  The
+    state is checked once and both masks read it as the same one-row batch.
+    No sample is drawn: `samples` and `seed` are accepted for callers of the
     sampled classifier and have no effect.
 
     The first screen is implied by the second (p lies in R), up to rounding,
@@ -205,7 +206,8 @@ def in_CN(p, cfg: TwoQubitConfig, samples: int = 20_000, seed: int = DEFAULT_SEE
     Hence every future extreme point lies in TN iff p does.
     """
     probs = _probs(p)
-    return in_TN(probs, cfg) and bool(_cn_mask(probs[None], cfg.spectrum().gibbs)[0])
+    row, gamma = probs[None], _matched_gibbs(cfg.spectrum(), probs.size)
+    return bool(_tn_mask(row, gamma)[0]) and bool(_cn_mask(row, gamma)[0])
 
 
 def p_star(beta: float) -> Dist:

@@ -6,19 +6,22 @@ the library read them before the LP-dual kernels (`_batch.conjugate_rows`,
 `curve_dominates` decides it, and domination of a fixed curve.  `segment_index`
 picks the segment that `eval_rows_at` reads.
 
+`curve_thermo_majorizes` and `curve_compare` are the bodies `thermo_majorizes`
+and `compare` had before they read the conjugate margin
+(`_batch.dominance_margins`): both states' sorted curves (`tm_curve`, which
+refuses some curves at large beta) compared by `curve_dominates`.
+
 The scalar classifiers at the end are the bodies `catalysable_future_member`,
 `catalysable_past_member`, `in_region_Ti` and `in_TN` had before they became
 one-row calls of the mask kernels: each builds the state's own curve
-(`tm_curve`, which refuses some curves at large beta) or its decisive future
-extreme point (`vertex_for_order`) and compares it as `compare` and
-`curve_dominates` do.
+(`tm_curve`) or its decisive future extreme point (`vertex_for_order`) and
+compares it as `curve_compare` and `curve_dominates` do.
 """
 
 import numpy as np
 
 from thermocone import (
     Relation,
-    compare,
     curve_dominates,
     tangent_bound_curve,
     tm_curve,
@@ -99,13 +102,42 @@ def rows_dominate_fixed(xs: np.ndarray, ys: np.ndarray, curve: TMCurve, tol: flo
     return ok
 
 
+def curve_thermo_majorizes(p, q, spec):
+    """True iff the curve of `p` lies above the curve of `q` everywhere."""
+    return curve_dominates(tm_curve(p, spec), tm_curve(q, spec))
+
+
+def curve_margin(p, q, spec):
+    """Least gap c_p - c_q between the sorted curves, read at their union abscissae as `curve_dominates` reads them.
+
+    `curve_thermo_majorizes` holds iff this is >= -EPS_CMP, up to the
+    rounding of the one subtraction.
+    """
+    cp, cq = tm_curve(p, spec), tm_curve(q, spec)
+    xs = np.union1d(cp.xs, cq.xs)
+    return float(np.min(np.interp(xs, cp.xs, cp.ys) - np.interp(xs, cq.xs, cq.ys)))
+
+
+def curve_compare(p, q, spec):
+    """Relate `p` to `q`: Majorizes / MajorizedBy / Equivalent / Incomparable."""
+    forward = curve_thermo_majorizes(p, q, spec)
+    backward = curve_thermo_majorizes(q, p, spec)
+    if forward and backward:
+        return Relation.EQUIVALENT
+    if forward:
+        return Relation.MAJORIZES
+    if backward:
+        return Relation.MAJORIZED_BY
+    return Relation.INCOMPARABLE
+
+
 def in_region_Ti(q, p, spec, i):
     bound = tangent_bound_curve(p, spec, i)
     return curve_dominates(bound, tm_curve(q, spec))
 
 
 def catalysable_future_member(q, p, spec):
-    if compare(p, q, spec) is not Relation.INCOMPARABLE:
+    if curve_compare(p, q, spec) is not Relation.INCOMPARABLE:
         return False
     cq = tm_curve(q, spec)
     d = _probs(p).size
@@ -115,7 +147,7 @@ def catalysable_future_member(q, p, spec):
 
 
 def catalysable_past_member(q, p, spec):
-    if compare(p, q, spec) is not Relation.INCOMPARABLE:
+    if curve_compare(p, q, spec) is not Relation.INCOMPARABLE:
         return False
     cq = tm_curve(q, spec)
     d = _probs(p).size

@@ -20,6 +20,8 @@ from thermocone import (
     future_cone_vertices,
     qubit_catalyst_spectrum,
     search_qubit_catalyst,
+    tensor,
+    tm_curve,
     verify_catalyst,
 )
 from thermocone._batch import batch_curves
@@ -131,15 +133,18 @@ def test_grid_blocks_concatenate_to_the_same_hits(monkeypatch, block):
         found += bool(hits)
 
 
-def test_negligible_gibbs_weight_is_refused_like_the_scalar_path():
-    # 1 + 1.9e-22 rounds to 1, so the joint curves have a repeated abscissa
+def test_negligible_gibbs_weight_is_answered_like_the_scalar_path():
+    # 1 + 1.9e-22 rounds to 1, so the joint curves have a repeated abscissa, which `tm_curve` refuses; the
+    # conjugate margins answer: q's excited slope 0.1 / 1.9e-22 lifts q's curve to 0.1 at once, above p's
+    # curve y = x, and a catalyst does not change that
     spec = EnergySpectrum((0.0, 50.0), 1.0)
     p, q = (1.0, 0.0), (0.9, 0.1)
-    with np.errstate(invalid="ignore"):
-        with pytest.raises(ValueError, match="increase strictly"):
-            verify_catalyst(p, q, spec, (0.5, 0.5), qubit_catalyst_spectrum(1.0, 0.5))
-        with pytest.raises(ValueError, match="increase strictly"):
-            search_qubit_catalyst(p, q, spec, 0.5, 4)
+    spec_r = qubit_catalyst_spectrum(1.0, 0.5)
+    joint_p, joint_spec = tensor(p, spec, (0.5, 0.5), spec_r)
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="increase strictly"):
+        tm_curve(joint_p, joint_spec)
+    assert verify_catalyst(p, q, spec, (0.5, 0.5), spec_r) is False
+    assert search_qubit_catalyst(p, q, spec, 0.5, 4) == reference_search(p, q, spec, 0.5, 4) == []
 
 
 def test_bad_inputs_are_refused():

@@ -97,6 +97,22 @@ def test_flags_do_not_leak_between_calls(plain, flagged):
     assert invoke(plain) == before
 
 
+# flags a subcommand does not read; they are not offered there
+UNREAD = [
+    (argv, flag)
+    for name, argv in COMMANDS
+    if name not in ("volume", "isovolume", "entangle", "entangle_volumes")
+    for flag in (["--seed", "7"], ["--samples", "2000"])
+] + [(dict(COMMANDS)[name], ["--beta", "0.5"]) for name in ("entangle_volumes", "cooling_critical")]
+
+
+@pytest.mark.parametrize("argv,flag", UNREAD, ids=[f"{argv[0]}{flag[0]}" for argv, flag in UNREAD])
+def test_unread_flags_are_usage_errors(argv, flag, capsys):
+    assert invoke(argv)[0] == 0
+    assert run(argv + flag) == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
+
 def test_out_flag_writes_file(tmp_path):
     target = tmp_path / "result.json"
     code, text = invoke(["compare", "--input", PAIR3, "--out", str(target)])

@@ -1,10 +1,12 @@
 """One test per question: the catalyst search and `in_CN`'s screens on the sort-free kernels.
 
-`search_qubit_catalyst` reads the joint states through their conjugates
-(`_batch.conjugates`) and must answer, and refuse, as one `verify_catalyst`
-call per grid point does.  `in_CN` screens a state with `in_TN` and
-`_cn_mask` and must answer as the enumerated screen over every future and
-catalysable-future extreme point did, followed by the same sampling stage.
+`search_qubit_catalyst` reads the joint states through their conjugate
+margins (`_batch.dominance_margins`) and must answer, and raise, as one
+`verify_catalyst` call per grid point does; off the rounding band it must
+also answer as the sorted joint curves do.  `in_CN` screens a state with
+`in_TN` and `_cn_mask` and must answer as the enumerated screen over every
+future and catalysable-future extreme point did, followed by the same
+sampling stage.
 """
 
 import io
@@ -14,7 +16,6 @@ from contextlib import redirect_stdout
 import numpy as np
 import pytest
 
-import thermocone.catalysis as catalysis
 from thermocone import (
     EPS_CMP,
     EnergySpectrum,
@@ -34,19 +35,22 @@ from thermocone import (
     tangent_curve,
     tangent_vector,
     tm_curve,
+    tensor,
     verify_catalyst,
 )
-from thermocone.catalysis import _TINY_GIBBS
 from thermocone.cli import run
 from thermocone.entanglement import _tn_mask
 from thermocone.volume import DEFAULT_SEED, Workspace, _Chunk, _kept_rows, _over_chunks
 
+from curve_oracles import curve_margin
 from test_cli import STATE3, TWOQUBIT
 
 # verify_catalyst answers False at every grid point; the sorted batch refused a curve that rounding made non-concave
 REPRODUCER = ((0.05, 0.2, 0.75, 0.0), (0.3, 0.2, 0.4, 0.1), EnergySpectrum((0, 0.5, 1, 12), 1.0))
 SPREADS = (0.0, 1.0, 5.0, 12.0, 20.0, 27.0, 30.0, 34.0, 37.0, 40.0)  # beta * dE at beta = 1
 GRID = 20
+TINY_GIBBS = 1e-12  # joint Gibbs weights below this sit within a few ulps of the running sums of a curve's knots
+BAND = 1e-13  # off this band around -EPS_CMP, rounding cannot tip a verdict (`_batch.dominance_margins`)
 
 
 def outcome(fn):
@@ -80,7 +84,7 @@ def sweep_pair(rng, d, spec, rank_deficient):
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_search_equals_the_scalar_loop_in_hits_and_refusals(d, rank_deficient):
     rng = np.random.default_rng([d, rank_deficient, 41])
-    seen = {"hits": 0, "empty": 0, "refused": 0, "scalar_branch": 0}
+    seen = {"hits": 0, "empty": 0, "refused": 0, "tiny_gibbs": 0}
     for spread in SPREADS:
         for _ in range(2):
             spec = EnergySpectrum(tuple(np.sort(np.r_[0.0, spread, rng.uniform(0.0, spread, d - 2)])), 1.0)
@@ -90,23 +94,26 @@ def test_search_equals_the_scalar_loop_in_hits_and_refusals(d, rank_deficient):
                 assert outcome(lambda: search_qubit_catalyst(p, q, spec, gibbs_r, GRID)) == expected
                 key = "refused" if isinstance(expected, type) else "hits" if expected else "empty"
                 seen[key] += 1
-                seen["scalar_branch"] += spec.gibbs.min() * min(gibbs_r, 1 - gibbs_r) < _TINY_GIBBS
-    assert seen["hits"] and seen["empty"] and seen["scalar_branch"]
-    if rank_deficient:
-        assert seen["refused"]
+                seen["tiny_gibbs"] += spec.gibbs.min() * min(gibbs_r, 1 - gibbs_r) < TINY_GIBBS
+    assert seen["hits"] and seen["empty"] and seen["tiny_gibbs"]
 
 
-def test_search_equals_the_scalar_loop_at_the_tolerance_edge(monkeypatch):
+def joint_margins(p, q, spec, gibbs_r, grid_n):
+    """The sorted joint curves' margin (`curve_margin`) at each grid point of the search."""
+    spec_r = qubit_catalyst_spectrum(spec.beta, gibbs_r)
+    margins = []
+    for t in (k / grid_n for k in range(1, grid_n)):
+        joint_p, joint_spec = tensor(p, spec, (1.0 - t, t), spec_r)
+        joint_q, _ = tensor(q, spec, (1.0 - t, t), spec_r)
+        margins.append(curve_margin(joint_p, joint_q, joint_spec))
+    return np.array(margins)
+
+
+def test_search_equals_the_scalar_loop_at_the_tolerance_edge():
     # q is p with one knot of its curve moved by about EPS_CMP (scaled by the catalyst's weights), so many
-    # joint margins land within rounding of -EPS_CMP, where `verify_catalyst` decides the point
-    decided = []
-
-    def counted(*args):
-        decided.append(args)
-        return verify_catalyst(*args)
-
-    monkeypatch.setattr(catalysis, "verify_catalyst", counted)
+    # joint margins land within rounding of -EPS_CMP; off that band the hits are those of the sorted joint curves
     rng = np.random.default_rng(59)
+    near = 0
     for trial in range(80):
         d = 2 + trial % 4
         spec = EnergySpectrum(tuple(np.sort(rng.uniform(0.0, 2.0, d))), (0.0, 0.3, 1.0, 5.0)[trial // 4 % 4])
@@ -118,13 +125,19 @@ def test_search_equals_the_scalar_loop_at_the_tolerance_edge(monkeypatch):
         q[order[k]] += m
         q[order[k + 1]] -= m
         for gibbs_r in (0.5,) if spec.beta == 0.0 else (0.3, 0.5, 0.7):
-            assert search_qubit_catalyst(p, q, spec, gibbs_r, GRID) == scalar_search(p, q, spec, gibbs_r, GRID)
-    assert decided
+            hits = search_qubit_catalyst(p, q, spec, gibbs_r, GRID)
+            assert hits == scalar_search(p, q, spec, gibbs_r, GRID)
+            margins = joint_margins(p, q, spec, gibbs_r, GRID)
+            off_band = np.abs(margins + EPS_CMP) > BAND
+            near += int((~off_band).sum())
+            ts = np.arange(1, GRID) / GRID
+            assert np.array_equal(np.isin(ts, hits)[off_band], (margins >= -EPS_CMP)[off_band])
+    assert near
 
 
 def test_reproducer_is_answered_not_refused():
     p, q, spec = REPRODUCER
-    assert spec.gibbs.min() * 0.5 > 1e3 * _TINY_GIBBS  # answered by the conjugate check, not point by point
+    assert spec.gibbs.min() * 0.5 > 1e3 * TINY_GIBBS  # no joint Gibbs weight near rounding
     assert scalar_search(p, q, spec, 0.5, 200) == []
     assert search_qubit_catalyst(p, q, spec) == []
 
