@@ -1,12 +1,13 @@
 """Vectorised curve and vertex kernels.
 
-Rows of a sample matrix are treated as independent states; curves are held as
-padded knot matrices so whole batches can be classified without Python-level
-loops.  Extreme points of the cones are built the same way, one row per level
-order.  A question about one state is a one-row call of the same kernels:
-`catalysable_future_member`, `catalysable_past_member`, `in_region_Ti` and
-`in_TN` classify the state as the only row of a batch, so each question has
-one classifier, with the tolerances and tie-breaks of the sampled estimates.
+Rows of a sample matrix are treated as independent states, read through their
+subset masses or their conjugates, so whole batches can be classified with no
+sort and no Python-level loop over rows.  Extreme points of the cones are
+built the same way, one row per level order.  A question about one state is
+a one-row call of the same kernels: `catalysable_future_member`,
+`catalysable_past_member`, `in_region_Ti` and `in_TN` classify the state as
+the only row of a batch, so each question has one classifier, with the
+tolerances and tie-breaks of the sampled estimates.
 """
 
 from __future__ import annotations
@@ -202,18 +203,19 @@ def conjugates(cols: np.ndarray, gamma: np.ndarray, slopes: np.ndarray, ws: Work
     """phi_q(s) = sum_i max(q_i - s gamma_i, 0) for each column q of the (m, n) array `cols`.
 
     Column j of the (k, n) array `slopes` holds the k slopes at which column
-    j of `cols` is read; the (k, n) result is taken from `ws` (`Workspace`).
+    j of `cols` is read; a (k, 1) array holds k slopes shared by every
+    column.  The (k, n) result is taken from `ws` (`Workspace`).
     phi_q is the hockey-stick form of thermomajorisation: it is convex and
     piecewise linear in s, with breakpoints at the slopes q_i / gamma_i, and
     it is the Legendre conjugate of q's curve, phi_q(s) = max_x [c_q(x) - s x].
     """
-    phi = ws.take(slopes.shape)
+    phi = ws.take((len(slopes), cols.shape[1]))
     phi.fill(0.0)
     with ws.frame():
-        term = ws.take(slopes.shape)  # q_i - s gamma_i, summed as (-gamma_i) s + q_i
-        for g, q in zip(-gamma, cols):
-            np.multiply(slopes, g, out=term)
-            term += q
+        term = ws.take(phi.shape)  # q_i - s gamma_i
+        scaled = term if slopes.shape == phi.shape else ws.take(slopes.shape)  # s gamma_i
+        for g, q in zip(gamma, cols):
+            np.subtract(q, np.multiply(slopes, g, out=scaled), out=term)
             phi += np.maximum(term, 0.0, out=term)
     return phi
 
@@ -284,17 +286,3 @@ def conjugate_rows(cols: np.ndarray, gamma: np.ndarray, ws: Workspace = FRESH) -
     r = np.divide(cols, gamma[:, None], out=ws.take(cols.shape))
     return r, conjugates(cols, gamma, r, ws)
 
-
-def batch_curves(samples: np.ndarray, gamma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Knot matrices (X, Y) of every row's curve, including the (0,0) knot."""
-    ratios = samples / gamma
-    order = np.argsort(-ratios, kind="stable", axis=1)
-    n, d = samples.shape
-    xs = np.cumsum(np.take_along_axis(np.broadcast_to(gamma, (n, d)), order, axis=1), axis=1)
-    ys = np.cumsum(np.take_along_axis(samples, order, axis=1), axis=1)
-    pad = np.zeros((n, 1))
-    xs = np.hstack([pad, xs])
-    ys = np.hstack([pad, ys])
-    xs[:, -1] = 1.0
-    ys[:, -1] = 1.0
-    return xs, ys

@@ -29,6 +29,7 @@ from .core import (
     _simplex_rows,
     _slope_order,
     _tangent_bound,
+    _union_xs,
     beta_order,
     compare,
     tensor,
@@ -283,7 +284,7 @@ def dim_bound(p, q, spec: EnergySpectrum) -> DimBound:
         raise NotIncomparableError("dimension bounds require an incomparable pair")
     cp = tm_curve(p, spec)
     cq = tm_curve(q, spec)
-    xs = np.union1d(cp.xs, cq.xs)
+    xs = _union_xs(cp, cq)
     g = np.interp(xs, cp.xs, cp.ys) - np.interp(xs, cq.xs, cq.ys)
     neg = g < -EPS_CMP
     if not neg.any():

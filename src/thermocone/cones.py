@@ -16,7 +16,7 @@ from .core import (
     _slope_order,
 )
 
-__all__ = ["ConeVertices", "future_cone_vertices"]
+__all__ = ["ConeVertices", "future_cone_vertices", "vertex_for_order"]
 
 
 class ConeVertices:

@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._batch import FRESH, Workspace, batch_curves, conjugate_rows, extreme_slopes, subset_masses, tangent_cap
+from ._batch import FRESH, Workspace, conjugate_rows, conjugates, extreme_slopes, subset_masses, tangent_cap
 from .core import EPS_CMP, EnergySpectrum, TMCurve, _beta_curve, _matched_gibbs, _probs, _slope_order, _tangent_bound
 
 __all__ = [
@@ -34,7 +34,7 @@ __all__ = [
 DEFAULT_SEED = 1729
 DEFAULT_SAMPLES = 100_000
 _CHUNK = 1 << 14
-_SUBSET_DIM = 7  # largest d whose 2^d - 2 subset masses are built for every row
+_SUBSET_DIM = 5  # largest d whose 2^d - 2 subset masses are built for every row; above it `under` reads conjugates
 _MASS_BYTES = 1 << 21  # subset masses held at once per chunk
 _SLACK = 1e-12  # rounding allowance of the tangent screen in `_Chunk.above`
 
@@ -117,28 +117,41 @@ class VolumeEstimate:
     seed: int
 
 
+def _support(curve: TMCurve) -> tuple[np.ndarray, np.ndarray]:
+    """A concave curve f's positive segment slopes s, and phi_f(s) + EPS_CMP, phi_f(s) = max_k (y_k - s x_k).
+
+    The maximum over every knot, not only the segment's own two, keeps the
+    test right where rounding dents f: t_d of a state within rounding of
+    Gibbs can have a first slope below its second.
+    """
+    s = np.diff(curve.ys) / np.diff(curve.xs)
+    s = s[s > 0.0]
+    return s, np.max(curve.ys - s[:, None] * curve.xs, axis=1) + EPS_CMP
+
+
 def _estimate(hits: int, samples: int, seed: int) -> VolumeEstimate:
     v = hits / samples
     return VolumeEstimate(value=v, stderr=math.sqrt(v * (1.0 - v) / samples), samples=samples, seed=seed)
 
 
 class _Chunk:
-    """A chunk of draws with every row's mass on a family of level subsets.
+    """A chunk of draws, and the tests of its rows against fixed curves.
 
-    Up to `_SUBSET_DIM` levels the family is every nonempty proper subset,
-    built by `subset_masses`, whose abscissae gamma(S) are shared by all rows,
-    taken in row blocks of at most `_MASS_BYTES` of masses.  Above
-    `_SUBSET_DIM`, where 2^d - 2 subsets cost more than a sort, the family is
-    each row's own knot subsets, read off its sorted curve.  Either family
-    contains every row's knot subsets, which is all `under` needs (see
-    `region_masks`).  Each `under` call builds the family once for all the
-    groups it is given.  Masses are held as (subset, row), so tests over the
-    subsets run along the long axis.  The rows are read as the columns
-    `draws.T`, with no copy; they are contiguous for draws laid out as
-    `sample_simplex` lays them out.  Chunk-sized temporaries are taken from
-    the workspace `ws`, which the chunks of one call share; each method
-    gives back what it took, except `slopes`, which lasts as long as the
-    frame it was first read in (`above` reads it before opening its own).
+    `under` asks whether a row's curve lies below a concave curve f, in one
+    of two ways (both exact in exact arithmetic; see `region_masks`).  Up to
+    `_SUBSET_DIM` levels it builds every row's masses on every nonempty
+    proper level subset (`subset_masses`), whose abscissae gamma(S) are
+    shared by all rows, in row blocks of at most `_MASS_BYTES` of masses,
+    held as (subset, row) so tests over the subsets run along the long axis;
+    one set of masses serves every curve of an `under` call.  Above it, where
+    2^d - 2 subsets cost more than the few slopes of the curves, it reads
+    each row's conjugate phi_q (`conjugates`) at f's positive slopes.  No row
+    is sorted either way.  The rows are read as the columns `draws.T`, with
+    no copy; they are contiguous for draws laid out as `sample_simplex` lays
+    them out.  Chunk-sized temporaries are taken from the workspace `ws`,
+    which the chunks of one call share; each method gives back what it
+    took, except `slopes`, which lasts as long as the frame it was first
+    read in (`above` reads it before opening its own).
     """
 
     def __init__(self, draws: np.ndarray, gamma: np.ndarray, ws: Workspace = FRESH):
@@ -147,36 +160,62 @@ class _Chunk:
         self.cols = draws.T
         self.ws = ws
 
-    def _family(self):
-        # (rows, masses on the family as (subset, row), abscissae) block by block; a block's masses
-        # last until the next is asked for
+    def under(self, *groups: tuple[TMCurve, ...]) -> list[np.ndarray]:
+        """Per group of curves, the rows whose curve lies below all of them (within EPS_CMP).
+
+        Up to `_SUBSET_DIM` levels a group's threshold is the pointwise
+        minimum of its curves at the subsets' abscissae; the test
+        `mass <= min(a, b) + EPS_CMP` equals the two tests against a and b,
+        because rounding the sums a + EPS_CMP and b + EPS_CMP is monotone.
+
+        Above it, a row q lies below a curve f iff
+        phi_q(s) <= phi_f(s) + EPS_CMP at each of f's segment slopes s > 0,
+        where phi_f(s) = max_k (y_k - s x_k) over f's knots (`_support`):
+        this is `dominance_margins`' test with f in place of the upper
+        column (proof in `region_masks`), and a row lies below a group iff it
+        lies below each of its curves.  A slope s <= 0 is never read: there
+        both conjugates are near 1 - s in exact arithmetic, but in doubles
+        they round at ulp(|s|), which t_1's final chord at large beta makes
+        as large as about 1e-3.
+
+        Rounding (above `_SUBSET_DIM`).  Each unclamped term
+        q_i - s gamma_i of phi_q lies in (0, 1] with s gamma_i < 1, so it is
+        off by at most about 1.5 ulps of 1, and phi_q by about 2d.
+        phi_f(s) >= 0 is attained at a knot with s x_k <= y_k <= 1, off by
+        about 1 ulp, except for t_1's knot, which lies above 1 at large
+        beta: it is read only at t_1's first slope s = y / x, where y - s x
+        is exactly 0 for y = s_1 x as `_tangent_bound` builds it
+        (`tests/test_conjugate_masks.py` checks this), so the origin's exact
+        0 is the maximum.  Reading the slope s itself off the knots moves
+        each side by about 1 ulp of 1 more, as s gamma(S) < q(S) <= 1 on the
+        levels S that phi_q sums.  So a row is decided as the sorted-curve
+        test oracle decides it (`fixed_dominates_rows` in
+        `tests/curve_oracles.py`) unless its curve comes within about
+        (2d + 3) ulps of 1 (under 1e-14 up to d = 8) of f + EPS_CMP, as
+        small as the sorted curves' own interpolation error.
+        """
         if self.gamma.size > _SUBSET_DIM:
-            xs, ys = batch_curves(self.draws, self.gamma)
-            yield slice(None), ys[:, 1:-1].T, xs[:, 1:-1].T
-            return
+            return [self._below(curves) for curves in groups]
+        out = [np.empty(len(self.draws), dtype=bool) for _ in groups]
         x = subset_masses(self.gamma[:, None])
         step = _MASS_BYTES // (8 << self.gamma.size)
         for lo in range(0, len(self.draws), step):
             with self.ws.frame():
-                yield slice(lo, lo + step), subset_masses(self.cols[:, lo : lo + step], self.ws), x
-
-    def under(self, *groups: tuple[TMCurve, ...]) -> list[np.ndarray]:
-        """Per group of curves, the rows whose curve lies below all of them (within EPS_CMP).
-
-        A group's threshold is the pointwise minimum of its curves; the test
-        `mass <= min(a, b) + EPS_CMP` equals the two tests against a and b,
-        because rounding the sums a + EPS_CMP and b + EPS_CMP is monotone.
-        """
-        out = [np.empty(len(self.draws), dtype=bool) for _ in groups]
-        for rows, mass, x in self._family():
-            with self.ws.frame():
+                mass = subset_masses(self.cols[:, lo : lo + step], self.ws)
                 below = self.ws.take(mass.shape, bool)
                 for mask, curves in zip(out, groups):
                     thr = np.interp(x, curves[0].xs, curves[0].ys)
                     for c in curves[1:]:
                         thr = np.minimum(thr, np.interp(x, c.xs, c.ys))
-                    np.all(np.less_equal(mass, thr + EPS_CMP, out=below), axis=0, out=mask[rows])
+                    np.all(np.less_equal(mass, thr + EPS_CMP, out=below), axis=0, out=mask[lo : lo + step])
         return out
+
+    def _below(self, curves: tuple[TMCurve, ...]) -> np.ndarray:
+        # rows whose conjugate lies below phi_f + EPS_CMP at every positive slope of every curve f
+        slopes, bound = (np.concatenate(a) for a in zip(*map(_support, curves)))
+        with self.ws.frame():
+            phi = conjugates(self.cols, self.gamma, slopes[:, None], self.ws)
+            return np.all(np.less_equal(phi, bound[:, None], out=self.ws.take(phi.shape, bool)), axis=0)
 
     @cached_property
     def slopes(self) -> tuple[np.ndarray, np.ndarray]:
@@ -264,7 +303,8 @@ class _Bounds:
 def region_masks(p, spec: EnergySpectrum, samples: np.ndarray) -> dict[str, np.ndarray]:
     """Boolean membership masks of every region for a batch of simplex samples.
 
-    The future and the tangent masks need no sorting, by the subset lemma:
+    The future and the tangent masks need no sorting.  Up to `_SUBSET_DIM`
+    levels they follow from the subset lemma:
     a concave curve f bounds the curve c_q of a state q iff
     q(S) <= f(gamma(S)) for every level subset S.
 
@@ -290,6 +330,32 @@ def region_masks(p, spec: EnergySpectrum, samples: np.ndarray) -> dict[str, np.n
     is monotone.  The catalysable past needs the row above *both* tangents
     somewhere, the complement of a union, which no single threshold row
     describes, so it keeps the two masks.
+
+    Above `_SUBSET_DIM` levels the 2^d - 2 subsets cost more than reading
+    each row's conjugate phi_q(s) = sum_i max(q_i - s gamma_i, 0) at the
+    few positive slopes s of the curves (`_Chunk.under`): c_q <= f + tol
+    everywhere (tol = EPS_CMP) iff phi_q(s) <= phi_f(s) + tol at each
+    slope s > 0 of f, with phi_f(s) = max_x [f(x) - s x], the maximum over
+    f's knots.
+
+    Proof (`dominance_margins`' proof with f in place of the upper column).
+    phi_q is the Legendre conjugate of c_q, and c_q(x) is the minimum over
+    s >= 0 of [s x + phi_q(s)] (`conjugate_rows`).  Let g be f up to its
+    peak and flat after it, the least nondecreasing concave curve above f;
+    for s >= 0, phi_g(s) = phi_f(s) and g(x) is the minimum over s >= 0 of
+    [s x + phi_f(s)].  If c_q <= f + tol, then
+    phi_q(s) = max_x [c_q(x) - s x] <= phi_f(s) + tol for every s.
+    Conversely, if that holds for every s >= 0, then
+    c_q(x) <= min_s [s x + phi_f(s)] + tol = g(x) + tol; and g differs from
+    f only beyond f's peak, where f falls to f(1) = 1 >= c_q, so
+    c_q <= f + tol.  Dropping the slopes s <= 0 is thus clamping f at 1.
+    phi_f bends only at f's slopes: between s = 0 and f's least positive
+    slope, and between two consecutive ones, phi_f is linear and phi_q
+    convex, so phi_f - phi_q is concave there and smallest at an end.  At
+    s = 0 it is max f - 1 >= 0, and beyond f's largest slope phi_f = 0 and
+    -phi_q does not fall, so the difference is smallest at that slope.  So
+    f's positive slopes are all that need checking, and for a group of
+    curves, each curve's.
 
     The past (T-) asks the reverse, c_q >= c_p - EPS_CMP, and the same
     argument with the roles swapped makes it a check at the knots of c_p:

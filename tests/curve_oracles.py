@@ -1,10 +1,11 @@
 """Sorted-curve oracles that the sort-free kernels are tested against.
 
-Each reads curves from their knot matrices (`_batch.batch_curves`), the way
-the library read them before the LP-dual kernels (`_batch.conjugate_rows`,
-`_batch.conjugates`) replaced them: row-versus-row domination as
-`curve_dominates` decides it, and domination of a fixed curve.  `segment_index`
-picks the segment that `eval_rows_at` reads.
+Each reads curves from their knot matrices (`batch_curves`, which sorts every
+row), the way the library read them before the subset masses and the LP-dual
+kernels (`_batch.subset_masses`, `_batch.conjugate_rows`, `_batch.conjugates`)
+replaced them: row-versus-row domination as `curve_dominates` decides it, and
+domination of a fixed curve or by it.  `segment_index` picks the segment that
+`eval_rows_at` reads.
 
 `curve_thermo_majorizes` and `curve_compare` are the bodies `thermo_majorizes`
 and `compare` had before they read the conjugate margin
@@ -30,6 +31,21 @@ from thermocone import (
 )
 from thermocone.core import EPS_CMP, TMCurve, _probs
 from thermocone.entanglement import _DECISIVE_ORDER
+
+
+def batch_curves(samples: np.ndarray, gamma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Knot matrices (X, Y) of every row's curve, including the (0,0) knot, by sorting each row."""
+    ratios = samples / gamma
+    order = np.argsort(-ratios, kind="stable", axis=1)
+    n, d = samples.shape
+    xs = np.cumsum(np.take_along_axis(np.broadcast_to(gamma, (n, d)), order, axis=1), axis=1)
+    ys = np.cumsum(np.take_along_axis(samples, order, axis=1), axis=1)
+    pad = np.zeros((n, 1))
+    xs = np.hstack([pad, xs])
+    ys = np.hstack([pad, ys])
+    xs[:, -1] = 1.0
+    ys[:, -1] = 1.0
+    return xs, ys
 
 
 def segment_index(xs: np.ndarray, x0: float) -> np.ndarray:
@@ -99,6 +115,19 @@ def rows_dominate_fixed(xs: np.ndarray, ys: np.ndarray, curve: TMCurve, tol: flo
     ok = np.all(ys >= np.interp(xs, curve.xs, curve.ys) - tol, axis=1)
     for x0, y0 in zip(curve.xs[1:-1], curve.ys[1:-1]):
         ok &= eval_rows_at(xs, ys, float(x0)) >= y0 - tol
+    return ok
+
+
+def fixed_dominates_rows(curve: TMCurve, xs: np.ndarray, ys: np.ndarray, tol: float = EPS_CMP) -> np.ndarray:
+    """Mask of rows whose curve lies everywhere below the fixed curve.
+
+    The test oracle of the future and tangent masks (`volume._Chunk.under`),
+    which read the same check off subset masses or conjugates with no sort;
+    no library path calls it.
+    """
+    ok = np.all(np.interp(xs, curve.xs, curve.ys) >= ys - tol, axis=1)
+    for x0, y0 in zip(curve.xs[1:-1], curve.ys[1:-1]):
+        ok &= y0 >= eval_rows_at(xs, ys, float(x0)) - tol
     return ok
 
 

@@ -24,9 +24,8 @@ from thermocone import (
     tm_curve,
     verify_catalyst,
 )
-from thermocone._batch import batch_curves
 
-from curve_oracles import _interp_rows, rows_dominate_rows
+from curve_oracles import _interp_rows, batch_curves, rows_dominate_rows
 
 BETAS = (0.0, 0.3, 1.0, 5.0)
 GIBBS_R = (0.3, 0.5, 0.7)

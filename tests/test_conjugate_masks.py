@@ -3,20 +3,23 @@
 `conjugate_rows` gives each row's slopes r_j = q_j / gamma_j and conjugates
 phi_q(r_j) = sum_i max(q_i - r_j gamma_i, 0), and the curve reads as
 c_q(x) = min(1, min_j [r_j x + phi_q(r_j)]).  The past (`_Chunk.above`) and
-`_tn_mask` use it instead of sorting.  The oracles are the sorted-curve code:
-`rows_dominate_fixed(batch_curves(...))` for the past and, verbatim, the
-previous `_tn_mask`, which swapped the degenerate middle pair and sorted.
+`_tn_mask` use it instead of sorting, and from six levels the future and the
+tangent masks (`_Chunk.under`) read phi_q at the fixed curves' slopes.  The
+oracles are the sorted-curve code: `rows_dominate_fixed(batch_curves(...))`
+for the past, `fixed_dominates_rows(..., *batch_curves(...))` for the future
+and the tangents and, verbatim, the previous `_tn_mask`, which swapped the
+degenerate middle pair and sorted.
 """
 
 import numpy as np
 import pytest
 
-from thermocone import EPS_CMP, EnergySpectrum, region_masks, sample_simplex, tm_curve
-from thermocone._batch import batch_curves, conjugate_rows
+from thermocone import EPS_CMP, EnergySpectrum, region_masks, sample_simplex, tangent_bound_curve, tm_curve
+from thermocone._batch import conjugate_rows
 from thermocone.entanglement import TwoQubitConfig, _tn_mask
-from thermocone.volume import _Chunk
+from thermocone.volume import _Chunk, _support
 
-from curve_oracles import eval_rows_at, rows_dominate_fixed
+from curve_oracles import batch_curves, eval_rows_at, fixed_dominates_rows, rows_dominate_fixed
 
 BETAS = (0.0, 0.3, 1.0, 5.0, 30.0)
 TN_BETAS = (0.0, 0.1, 0.25, 0.5, 1.0, 2.0, 4.0)
@@ -165,6 +168,81 @@ def test_rows_at_the_tolerance_edge_are_classified_as_the_oracle_does(d, beta):
         np.testing.assert_array_equal(region_masks(p, spec, rows)["T+"], moved <= EPS_CMP)
 
 
+def _knot_rows(gamma, subsets, curve, margins):
+    """Rows whose curve runs from (0, 0) to (1, 1) through (x, y + m), for each knot (x, y) of `curve`.
+
+    subsets[k] holds the levels whose Gibbs weights sum to knot k + 1's
+    abscissa (None where no subset does).  Each row spreads y + m over those
+    levels and the rest over the others, both in proportion to gamma, so its
+    curve is two chords, the highest by m at the knot.  Only heights in
+    (x, 1) are kept, where the levels in the subset come first in the row's
+    beta-order.
+    """
+    rows, moved = [], []
+    for (x, y), levels in zip(zip(curve.xs[1:-1], curve.ys[1:-1]), subsets):
+        if levels is None:
+            continue
+        inside = np.zeros(gamma.size, dtype=bool)
+        inside[levels] = True
+        for m in margins:
+            h = y + m
+            if x < h < 1.0:
+                rows.append(np.where(inside, h * gamma / gamma[inside].sum(), (1.0 - h) * gamma / gamma[~inside].sum()))
+                moved.append(m)
+    return rows, moved
+
+
+@pytest.mark.parametrize("d", [6, 7, 8])
+@pytest.mark.parametrize("beta", [0.0, 1.0, 30.0])
+def test_conjugate_under_classifies_rows_at_every_knot_edge_as_the_oracle_does(d, beta):
+    # the rows come within 1e-10 +- 1e-12 of each knot of the state's curve, t_1 and t_d
+    rng = np.random.default_rng([d, int(beta), 13])
+    margins = [s * (EPS_CMP + e) for s in (1.0, -1.0) for e in (1e-12, -1e-12)]
+    tested = [0, 0, 0]  # rows built at the knots of each curve
+    for case in range(20):
+        spec = EnergySpectrum(tuple(_energies(rng, d, "unsorted", span=1.0)), beta)
+        gamma = np.asarray(spec.gibbs)
+        low = int(np.argmin(gamma))
+        u = rng.dirichlet(np.ones(d))
+        # every other state lies so near Gibbs that s_1 (1 - gamma_min) < 1: t_1's knot lies below 1,
+        # and rounding can give t_d a first slope below its second
+        p = u if case % 2 else gamma + 0.5 * gamma[low] / np.max(u / gamma) * (u - gamma)
+        order = np.argsort(-(p / gamma), kind="stable")
+        curves = (tm_curve(p, spec), tangent_bound_curve(p, spec, 1), tangent_bound_curve(p, spec, d))
+        subsets = (
+            [order[: k + 1] if curves[0].xs.size == d + 1 else None for k in range(d - 1)],
+            [np.delete(np.arange(d), low) if curves[1].xs[1] == 1.0 - gamma[low] else None],
+            [[low]],
+        )
+        for which, (c, levels) in enumerate(zip(curves, subsets)):
+            rows, moved = _knot_rows(gamma, levels, c, margins)
+            if not rows:
+                continue
+            rows = np.array(rows)
+            xs, ys = batch_curves(rows, gamma)
+            masks = _Chunk(rows, gamma).under(*((f,) for f in curves))
+            for f, mask in zip(curves, masks):
+                np.testing.assert_array_equal(mask, fixed_dominates_rows(f, xs, ys))
+            np.testing.assert_array_equal(masks[which], np.array(moved) <= EPS_CMP)
+            tested[which] += len(rows)
+    assert tested[0] >= 20 * (d - 1) and tested[2] >= 20
+    assert tested[1] or beta == 30.0  # t_1's knot lies above 1 unless p is within about gamma_min of Gibbs
+
+
+def test_t1_is_read_at_its_first_slope_with_its_exact_zero():
+    # t_1's knot (x, s_1 x) lies far above 1 at large beta, where one ulp of its height is large;
+    # at t_1's first slope, y - (y / x) x must round to exactly 0, as `_Chunk.under` states
+    rng = np.random.default_rng(19)
+    for d in range(2, 9):
+        for beta in (0.0, 1.0, 5.0, 30.0):
+            for _ in range(200):
+                spec = EnergySpectrum(tuple(_energies(rng, d, "unsorted", span=1.0)), beta)
+                p = rng.dirichlet(np.full(d, rng.choice([0.2, 1.0, 5.0])))
+                t1 = tangent_bound_curve(p, spec, 1)
+                slopes, bound = _support(t1)
+                assert slopes[0] == t1.ys[1] / t1.xs[1] and bound[0] == EPS_CMP
+
+
 @pytest.mark.parametrize("beta", TN_BETAS)
 def test_tn_mask_equals_the_sorting_version(beta):
     rng = np.random.default_rng([int(100 * beta), 7])
@@ -228,7 +306,6 @@ def test_region_masks_partition_the_simplex(d):
 
 def test_monte_carlo_paths_sort_no_sample(monkeypatch):
     # a state's own curve sorts its d levels once; nothing may sort the draws
-    import thermocone.volume
     from thermocone import in_CN, isovolume_grid, mc_volume, volume_ratio_CN_TN
 
     argsort = np.argsort
@@ -237,13 +314,9 @@ def test_monte_carlo_paths_sort_no_sample(monkeypatch):
         assert np.size(a) <= 8, f"argsort over {np.shape(a)}"
         return argsort(a, *args, **kwargs)
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("sorted every sample")
-
     monkeypatch.setattr(np, "argsort", small_argsort)
-    monkeypatch.setattr(thermocone.volume, "batch_curves", refuse)
     rng = np.random.default_rng(17)
-    for d in (2, 3, 4, 6):
+    for d in range(2, 9):
         spec = EnergySpectrum(tuple(np.sort(rng.uniform(0.0, 2.0, d))), 0.8)
         p = rng.dirichlet(np.ones(d))
         for name in ("T+", "T-", "T0", "C+", "C-"):

@@ -26,7 +26,6 @@ from thermocone import (
     tangent_bound_curve,
     unitary_entanglable,
 )
-from thermocone._batch import batch_curves
 from thermocone.entanglement import _tn_mask
 
 from test_dual_screens import edge_states
@@ -112,7 +111,7 @@ def test_a_level_lost_to_rounding_is_answered_as_region_masks_answers():
         masks = region_masks(p, spec, q[None])
         assert catalysable_future_member(q, p, spec) == masks["C+"][0]
         assert catalysable_past_member(q, p, spec) == masks["C-"][0]
-        xs, ys = (k[0] for k in batch_curves(q[None], spec.gibbs))
+        xs, ys = (k[0] for k in oracle.batch_curves(q[None], spec.gibbs))
         last = np.append(np.diff(xs) > 0.0, True)  # the last knot of each run of equal abscissae
         curve = TMCurve(xs[last], ys[last])
         for i in (1, 3):

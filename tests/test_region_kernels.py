@@ -2,7 +2,8 @@
 
 The oracles below are the previous implementations, kept verbatim: the
 region masks that compared every sample's sorted curve with the fixed curves
-at the knots of both, and the `_cn_mask` that built each catalysable-future
+at the knots of both (through `fixed_dominates_rows` and `rows_dominate_fixed`
+in `curve_oracles`), and the `_cn_mask` that built each catalysable-future
 extreme point and classified it through `_tn_mask`.
 """
 
@@ -12,7 +13,6 @@ import numpy as np
 import pytest
 
 from thermocone import (
-    EPS_CMP,
     EnergySpectrum,
     c_plus_vertices,
     future_cone_vertices,
@@ -23,20 +23,13 @@ from thermocone import (
     tangent_bound_curve,
     tm_curve,
 )
-from thermocone._batch import batch_curves, subset_masses
+from thermocone._batch import subset_masses
 from thermocone.entanglement import TwoQubitConfig, _cn_mask, _tn_mask
 from thermocone.volume import _SUBSET_DIM, _over_chunks
 
-from curve_oracles import eval_rows_at, rows_dominate_fixed
+from curve_oracles import batch_curves, fixed_dominates_rows, rows_dominate_fixed
 
 REGIONS = ("T+", "T-", "T0", "C+", "C-")
-
-
-def old_fixed_dominates_rows(curve, xs, ys, tol=EPS_CMP):
-    ok = np.all(np.interp(xs, curve.xs, curve.ys) >= ys - tol, axis=1)
-    for x0, y0 in zip(curve.xs[1:-1], curve.ys[1:-1]):
-        ok &= y0 >= eval_rows_at(xs, ys, float(x0)) - tol
-    return ok
 
 
 def old_region_masks(p, spec, samples):
@@ -47,11 +40,11 @@ def old_region_masks(p, spec, samples):
     t1 = tangent_bound_curve(probs, spec, 1)
     td = tangent_bound_curve(probs, spec, d)
     xs, ys = batch_curves(samples, gamma)
-    future = old_fixed_dominates_rows(curve, xs, ys)
+    future = fixed_dominates_rows(curve, xs, ys)
     past = rows_dominate_fixed(xs, ys, curve)
     incomparable = ~future & ~past
-    in_t1 = old_fixed_dominates_rows(t1, xs, ys)
-    in_td = old_fixed_dominates_rows(td, xs, ys)
+    in_t1 = fixed_dominates_rows(t1, xs, ys)
+    in_td = fixed_dominates_rows(td, xs, ys)
     return {
         "T+": future,
         "T-": past,
