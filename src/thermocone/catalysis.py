@@ -439,12 +439,14 @@ def search_qubit_catalyst(p, q, spec: EnergySpectrum, gibbs_r: float = 0.5, grid
     return hits
 
 
-def renyi_divergence(p, ref, alpha: float) -> float:
-    """Classical Renyi divergence D_alpha(p || ref) for alpha >= 0."""
-    probs = _probs(p)
+def _reference(probs: np.ndarray, ref) -> np.ndarray:
     r = np.asarray(ref, dtype=float)
     if probs.size != r.size or np.any(r <= 0.0):
         raise ValueError("reference must be a strictly positive vector of matching length")
+    return r
+
+
+def _renyi(probs: np.ndarray, r: np.ndarray, alpha: float) -> float:
     if alpha < 0.0:
         raise ValueError("alpha must be >= 0")
     if alpha == 0.0:
@@ -458,15 +460,31 @@ def renyi_divergence(p, ref, alpha: float) -> float:
     return math.log(s) / (alpha - 1.0)
 
 
+def renyi_divergence(p, ref, alpha: float) -> float:
+    """Classical Renyi divergence D_alpha(p || ref) for alpha >= 0."""
+    probs = _probs(p)
+    return _renyi(probs, _reference(probs, ref), alpha)
+
+
 def alpha_free_energy_check(p, q, spec: EnergySpectrum, alphas) -> bool:
     """Necessary free-energy screen: divergence to the Gibbs state must not rise.
 
     The alpha free energies are increasing affine functions of the Renyi
     divergences to the Gibbs state, so the comparison is performed directly on
-    the divergences (this also keeps beta=0 meaningful).
+    the divergences (this also keeps beta=0 meaningful).  p, q and the Gibbs
+    state are checked once, at the first alpha, in the order in which
+    `renyi_divergence` for p and then for q checks them, so the errors are
+    those of a `renyi_divergence` pair per alpha; with no alphas q is never
+    read.
     """
-    gamma = _matched_gibbs(spec, _probs(p).size)
+    probs = _probs(p)
+    gamma = _matched_gibbs(spec, probs.size)
+    target = None  # q, checked after p's first divergence
     for alpha in alphas:
-        if renyi_divergence(p, gamma, alpha) < renyi_divergence(q, gamma, alpha) - EPS_CMP:
+        d_p = _renyi(probs, gamma if target is not None else _reference(probs, gamma), alpha)
+        if target is None:
+            target = _probs(q)
+            _reference(target, gamma)
+        if d_p < _renyi(target, gamma, alpha) - EPS_CMP:
             return False
     return True

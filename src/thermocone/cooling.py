@@ -312,9 +312,34 @@ def _bisect_root(fn, lo: float, hi: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def _boundary(fn, beta: float, name: str) -> float:
-    grid = np.linspace(beta * 1e-9, beta * (1.0 - 1e-9), 512)
-    vals = np.array([fn(x) for x in grid])
+def _grid_margins(d: int, beta: float, m: int, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(advantage, no-go, band): both margins at every grid point in numpy, and where their signs are sure.
+
+    numpy's exp may differ from the scalar form's `math.exp` by a few ulps.
+    That moves exp((beta - x)(d - 1)) by about 1e-15 of itself, and the
+    geometric sums (1 - e^{-kx}) / (1 - e^{-x}) by about 2e-15 / (1 - e^{-x})
+    of themselves, through the cancellation in 1 - e^{-x}.  So outside
+    `band` = (1e-9 + 1e-13 / (1 - e^{-x})) (lead + upper), upper being the
+    larger of the two sums, a grid value of either margin has the scalar
+    form's sign; the band is relative because the terms reach e^280 at d = 8
+    and beta = 40.  A value inside
+    the band, and any inf or NaN (an overflow, which the scalar form raises
+    as OverflowError, or x = 0), is evaluated again with the scalar form.
+    """
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        tail = np.exp(-grid)
+        lead = np.exp((beta - grid) * (d - 1))
+        z = _geometric_sum(d, beta)
+        upper = z * ((1.0 - np.exp(-(m + 1) * grid)) / (1.0 - tail))
+        lower = z * ((1.0 - np.exp(-m * grid)) / (1.0 - tail)) if m > 0 else 0.0
+        band = (1e-9 + 1e-13 / (1.0 - tail)) * (lead + upper)
+    return lead - upper, lower - lead, band
+
+
+def _boundary(fn, grid: np.ndarray, vals: np.ndarray, band: np.ndarray, name: str) -> float:
+    """Bisected root of `fn` in the first grid cell where its sign flips (`_grid_margins`)."""
+    for k in np.flatnonzero(~(np.abs(vals) > band)):
+        vals[k] = fn(grid[k])
     signs = vals > 0.0
     flips = np.nonzero(signs[1:] != signs[:-1])[0]
     if flips.size == 0:
@@ -350,6 +375,8 @@ def critical_hot_betas(
         down = (d * (3.0 * beta * (d - 1) - 2.0) * (m + 1) + 2.0) / (2.0 * d - m - 2.0)
         up = (d * (3.0 * beta * (d - 1) - 2.0) * m + 2.0) / (2.0 * d - m - 1.0)
         return down, up
-    down = _boundary(lambda x: _advantage_margin(d, beta, m, x), beta, "advantage")
-    up = _boundary(lambda x: _no_go_margin(d, beta, m, x), beta, "no-go")
+    grid = np.linspace(beta * 1e-9, beta * (1.0 - 1e-9), 512)
+    advantage, no_go, band = _grid_margins(d, beta, m, grid)
+    down = _boundary(lambda x: _advantage_margin(d, beta, m, x), grid, advantage, band, "advantage")
+    up = _boundary(lambda x: _no_go_margin(d, beta, m, x), grid, no_go, band, "no-go")
     return down, up

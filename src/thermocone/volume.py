@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -97,6 +96,8 @@ def _over_chunks(d: int, samples: int, seed: int, fn, ws: Workspace | None = Non
     chunks = range(-(-samples // _CHUNK))
     workers = _threads()
     if workers > 1:
+        from concurrent.futures import ThreadPoolExecutor  # here, so that importing thermocone loads no logging
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_run, chunks))
     return map(_run, chunks)

@@ -26,6 +26,7 @@ from thermocone import (
     project_simplex,
     qubit_catalyst_spectrum,
     qubit_window,
+    renyi_divergence,
     search_qubit_catalyst,
     tangent_curve,
     tangent_vector,
@@ -34,6 +35,8 @@ from thermocone import (
     verify_catalyst,
     windows_from_bounds,
 )
+
+from thermocone.core import EPS_CMP, _matched_gibbs, _probs
 
 from conftest import random_dist, random_spectrum
 
@@ -416,6 +419,38 @@ class TestAlphaFreeEnergies:
     def test_reflexive(self, rng):
         p = random_dist(rng, 3)
         assert alpha_free_energy_check(p, p, SPEC3, self.ALPHAS)
+
+    def test_verdicts_and_errors_equal_a_divergence_pair_per_alpha(self, rng):
+        # the screen before it checked p, q and the Gibbs state once per alpha and state
+        def per_alpha(p, q, spec, alphas):
+            gamma = _matched_gibbs(spec, _probs(p).size)
+            for alpha in alphas:
+                if renyi_divergence(p, gamma, alpha) < renyi_divergence(q, gamma, alpha) - EPS_CMP:
+                    return False
+            return True
+
+        def outcome(fn, *args):
+            try:
+                return fn(*args)
+            except Exception as exc:  # the error must match too
+                return type(exc), str(exc)
+
+        cold = EnergySpectrum((0.0, 1.0, 2.0), math.inf)  # no Gibbs vector to compare with
+        cases = [
+            ((0.2, 0.3, 0.5), (0.2, 0.3), SPEC3, self.ALPHAS),  # q of the wrong length
+            ((0.2, 0.3, 0.5), (0.2, 0.3, 0.6), SPEC3, self.ALPHAS),  # q off the simplex
+            ((0.2, 0.3, 0.5), (0.2, 0.3, 0.6), SPEC3, ()),  # no alpha reads q
+            ((0.2, 0.3, 0.5), (0.2, 0.3, 0.5), SPEC3, (1.0, -1.0)),
+            ((0.2, 0.3, 0.5), (0.2, 0.3, 0.6), SPEC3, (-1.0,)),  # the alpha is refused before q
+            ((0.2, 0.3, 0.5), (0.5, 0.3, 0.2), cold, self.ALPHAS),
+            ((0.2, 0.3), (0.2, 0.8), SPEC3, self.ALPHAS),
+        ]
+        for _ in range(200):
+            p, q = random_dist(rng, 3), random_dist(rng, 3)
+            cases.append((p, q, SPEC3, tuple(rng.choice(self.ALPHAS + (3.5, 0.25), 3))))
+        for case in cases:
+            assert outcome(alpha_free_energy_check, *case) == outcome(per_alpha, *case), case
+        assert {outcome(alpha_free_energy_check, *case) for case in cases[200:]} == {True, False}
 
     def test_catalysed_targets_pass_the_screen(self, rng):
         seen = 0

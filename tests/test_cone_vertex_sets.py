@@ -5,16 +5,18 @@ and builds its `vertices` dict on first use.  The oracle below is the earlier
 pipeline, kept whole: the kernel with its last knot pinned to 1 and a fresh
 output array, the lexsort of the rounded rows with -0.0 folded into 0.0, and
 one `Dist` per kept row wrapped at once.  Every view of a vertex set must
-equal it bit for bit.
+equal it bit for bit, and so must the hashed dedup that replaced the lexsort,
+also where every hash collides and the lexsort decides again.
 """
 
+import math
 import sys
 import threading
 
 import numpy as np
 import pytest
 
-from thermocone import EnergySpectrum, c_plus_vertices, cones, future_cone_vertices
+from thermocone import EnergySpectrum, _batch, c_plus_vertices, cones, future_cone_vertices
 from thermocone._batch import distinct_vertices, order_vertices, perm_matrix
 from thermocone.catalysis import _c_plus_heights
 from thermocone.cones import _curve_heights
@@ -38,7 +40,10 @@ def earlier_order_vertices(heights, gamma, perms):
 
 def earlier_distinct_vertices(heights, gamma):
     perms = perm_matrix(gamma.size)
-    rows = earlier_order_vertices(heights, gamma, perms)
+    return earlier_dedup(perms, earlier_order_vertices(heights, gamma, perms))
+
+
+def earlier_dedup(perms, rows):
     keys = np.round(rows, 10)
     keys += 0.0
     idx = np.lexsort(keys.T)
@@ -176,10 +181,78 @@ def test_kernel_and_dedup_equal_the_earlier_pipeline_bit_for_bit(p, spec):
 
 
 def test_rows_differing_in_the_sign_of_a_zero_are_one_vertex():
-    # order (0, 1) gives (-0.0, 1.0) and order (1, 0) gives (0.0, 1.0): the lexsort
-    # and the run comparison both take -0.0 for 0.0
+    # order (0, 1) gives (-0.0, 1.0) and order (1, 0) gives (0.0, 1.0): the fold
+    # into 0.0 gives both rows the same bits, and so the same hash
     gamma = np.array([0.5, 0.5])
     orders, kept = distinct_vertices(lambda knots: np.array([[-0.0, 1.0], [1.0, 1.0]]), gamma)
     assert orders.tolist() == [[0, 1]]
     assert kept.tolist() == [[0.0, 1.0]]
 
+
+@pytest.mark.parametrize("which", sorted(VERTEX_SETS))
+@pytest.mark.parametrize("beta", BETAS)
+@pytest.mark.parametrize("kind", SPECTRA)
+def test_d8_vertex_sets_equal_the_earlier_pipeline(which, beta, kind):
+    rng = np.random.default_rng([8, len(kind), int(beta)])
+    p, spec = rng.dirichlet(np.ones(8)), spectrum(kind, 8, beta, rng)
+    build, heights = VERTEX_SETS[which]
+    want_orders, want_rows = earlier_distinct_vertices(heights(p, spec), spec.gibbs)
+    cv = build(p, spec)
+    assert cv.orders.tobytes() == want_orders.astype(np.int8).tobytes()
+    assert cv.rows.tobytes() == want_rows.tobytes()
+
+
+def spy_on_the_lexsort(monkeypatch):
+    calls = []
+    lexsort = _batch._lexsort_firsts
+    monkeypatch.setattr(_batch, "_lexsort_firsts", lambda keys: calls.append(len(keys)) or lexsort(keys))
+    return calls
+
+
+@pytest.mark.parametrize("which", sorted(VERTEX_SETS))
+@pytest.mark.parametrize("p,spec", cone_highd_cases()[::5])
+def test_colliding_hashes_fall_back_to_the_lexsort(monkeypatch, which, p, spec):
+    _, make = VERTEX_SETS[which]
+    heights = make(p, spec)
+    want_orders, want_rows = earlier_distinct_vertices(heights, spec.gibbs)
+    calls = spy_on_the_lexsort(monkeypatch)
+    orders, rows = distinct_vertices(heights, spec.gibbs)
+    assert calls == []  # distinct rows with equal hashes: not in these cases
+    monkeypatch.setattr(_batch, "_row_hashes", lambda keys: np.zeros(len(keys), dtype=np.uint64))
+    got_orders, got_rows = distinct_vertices(heights, spec.gibbs)
+    assert len(want_rows) == 1 or calls == [math.factorial(spec.d)]
+    for o, r in ((orders, rows), (got_orders, got_rows)):
+        assert o.tobytes() == want_orders.astype(np.int8).tobytes()
+        assert r.tobytes() == want_rows.tobytes()
+
+
+def edge_rows(d, rng):
+    """d! rows drawn from a few values one ulp apart across 10-decimal rounding edges, and signed zeros."""
+    near = []
+    for edge in (0.1234567890 + 0.5e-10, 0.5e-10, 0.25 + 0.5e-10):
+        x = np.float64(edge)
+        near.append([np.nextafter(x, -1.0), x, np.nextafter(x, 2.0)])
+    zeros = [0.0, -0.0, -1e-300]  # -1e-300 rounds to -0.0
+    n = math.factorial(d)
+    rows = np.empty((n, d))
+    for j in range(d - 1):
+        pool = near[j] if j < len(near) else zeros
+        rows[:, j] = np.array(pool)[rng.integers(0, len(pool), n)]
+    rows[:, -1] = 1.0 - rows[:, :-1].sum(axis=1)
+    return rows
+
+
+@pytest.mark.parametrize("d", [5, 6, 7])
+def test_rows_across_a_rounding_edge_and_signed_zeros_dedup_as_the_lexsort(monkeypatch, d):
+    rows = edge_rows(d, np.random.default_rng(d))
+    keys = np.round(rows, 10) + 0.0
+    for j in range(3):  # each trio of values straddles its edge: two keys, and one ulp decides
+        assert len(np.unique(keys[:, j])) == 2
+    assert np.signbit(rows[:, 3:-1]).any() and not np.signbit(rows[:, 3:-1]).all()
+    want_orders, want_rows = earlier_dedup(perm_matrix(d), rows.copy())
+    monkeypatch.setattr(_batch, "order_vertices", lambda heights, gamma, perms: rows.copy())
+    calls = spy_on_the_lexsort(monkeypatch)
+    orders, got = distinct_vertices(None, np.full(d, 1.0 / d))
+    assert calls == [] and 1 < len(got) < len(rows)
+    assert orders.tobytes() == want_orders.astype(np.int8).tobytes()
+    assert got.tobytes() == want_rows.tobytes()

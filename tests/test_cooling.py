@@ -16,10 +16,41 @@ from thermocone import (
     vertex_for_order,
 )
 
+from thermocone import cooling
+from thermocone.cooling import _advantage_margin, _bisect_root, _no_go_margin
+
 from conftest import random_dist
 
 SPEC3 = EnergySpectrum((0.0, 1.0, 2.0), 0.2)
 P_COOL = (0.1, 0.2, 0.7)
+
+
+def scalar_boundary(fn, beta, name):
+    """The grid scan `critical_hot_betas` made before its grid went to numpy: one scalar call per point."""
+    grid = np.linspace(beta * 1e-9, beta * (1.0 - 1e-9), 512)
+    vals = np.array([fn(x) for x in grid])
+    signs = vals > 0.0
+    flips = np.nonzero(signs[1:] != signs[:-1])[0]
+    if flips.size == 0:
+        held = "everywhere" if signs[0] else "nowhere"
+        raise NoRootError(f"the {name} inequality binds {held} on (0, beta)")
+    k = flips[0]
+    return _bisect_root(fn, float(grid[k]), float(grid[k + 1]))
+
+
+def scalar_critical_hot_betas(d, beta, j=1):
+    spec_cold = EnergySpectrum(tuple(float(n) for n in range(d)), beta)
+    m = m_index(j, spec_cold, EnergySpectrum(spec_cold.energies, beta / 2.0))
+    down = scalar_boundary(lambda x: _advantage_margin(d, beta, m, x), beta, "advantage")
+    up = scalar_boundary(lambda x: _no_go_margin(d, beta, m, x), beta, "no-go")
+    return down, up
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:  # the error must match too
+        return type(exc), str(exc)
 
 
 def hot_state(d, beta_h):
@@ -191,6 +222,37 @@ class TestCriticalBetas:
         down, up = critical_hot_betas(d, beta, linearised=True)
         assert down == pytest.approx((3 * (3 * beta * 2 - 2) * 2 + 2) / 3, abs=1e-12)
         assert up == pytest.approx((3 * (3 * beta * 2 - 2) * 1 + 2) / 4, abs=1e-12)
+
+    def test_roots_and_refusals_equal_the_scalar_grid_bit_for_bit(self):
+        rng = np.random.default_rng(18)
+        kinds = set()
+        for _ in range(150):
+            d = int(rng.integers(2, 9))
+            beta = float(np.exp(rng.uniform(math.log(0.01), math.log(40.0))))
+            j = int(rng.integers(1, d + 1))
+            want = outcome(scalar_critical_hot_betas, d, beta, j)
+            assert outcome(critical_hot_betas, d, beta, False, j) == want, (d, beta, j)
+            kinds.add(want[0] if isinstance(want[0], type) else float)
+        assert kinds == {float, NoRootError}
+        # an overflowing exp(beta (d - 1)) raises as the scalar form does
+        for d, beta in ((2, 711.0), (3, 360.0)):
+            assert outcome(critical_hot_betas, d, beta) == outcome(scalar_critical_hot_betas, d, beta) == (
+                OverflowError,
+                "math range error",
+            )
+
+    def test_grid_values_inside_the_band_are_read_with_the_scalar_form(self):
+        d, beta, m = 4, 2.0, 1
+        grid = np.linspace(beta * 1e-9, beta * (1.0 - 1e-9), 512)
+        advantage, no_go, band = cooling._grid_margins(d, beta, m, grid)
+        scalar = [np.array([fn(d, beta, m, x) for x in grid]) for fn in (_advantage_margin, _no_go_margin)]
+        for vals, exact in zip((advantage, no_go), scalar):
+            assert np.all((vals > 0.0) == (exact > 0.0))
+            assert np.all(np.abs(vals - exact) <= band)
+        # with every sign made unsure and wrong, the scan reads each point with the scalar form
+        fn = lambda x: _advantage_margin(d, beta, m, x)  # noqa: E731
+        got = cooling._boundary(fn, grid, -1e-300 * np.sign(advantage), np.ones(512), "advantage")
+        assert got == scalar_boundary(fn, beta, "advantage")
 
     def test_argument_validation(self):
         with pytest.raises(ValueError):

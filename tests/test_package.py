@@ -29,6 +29,18 @@ def test_public_names_are_the_union_of_the_modules_all():
     assert public == set(union)
 
 
+def fresh_interpreter(code: str) -> str:
+    src = str(Path(thermocone.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True).stdout
+
+
+def test_import_loads_neither_the_thread_pool_nor_logging():
+    # concurrent.futures imports logging (3-4 ms); only a threaded Monte-Carlo call needs it
+    code = "import sys, thermocone\nprint(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))\n"
+    assert fresh_interpreter(code).strip() == "[]"
+
+
 def test_dim_bound_and_oracle_report_leave_numpy_ma_unimported():
     # np.union1d goes through np.unique, whose first call imports numpy.ma (about 12 ms)
     code = (
@@ -40,7 +52,4 @@ def test_dim_bound_and_oracle_report_leave_numpy_ma_unimported():
         "oracle_report(p, q, spec, 1000)\n"
         "print('numpy.ma' in sys.modules)\n"
     )
-    src = str(Path(thermocone.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
-    assert run.stdout.strip() == "False"
+    assert fresh_interpreter(code).strip() == "False"
