@@ -12,12 +12,12 @@ tolerances and tie-breaks of the sampled estimates.
 
 from __future__ import annotations
 
+import itertools
 import math
 import mmap
 import threading
 from contextlib import contextmanager
 from functools import cache
-from itertools import permutations
 
 import numpy as np
 
@@ -31,7 +31,7 @@ def perm_matrix(d: int) -> np.ndarray:
     """Read-only (d!, d) matrix of every level order, lexicographic, built once per d."""
     if d > MAX_ENUM_DIM:
         raise ValueError(f"dimension {d} above enumeration cap {MAX_ENUM_DIM}")
-    return _freeze(np.array(list(permutations(range(d))), dtype=np.intp).reshape(-1, d))
+    return _freeze(np.array(list(itertools.permutations(range(d))), dtype=np.intp).reshape(-1, d))
 
 
 def order_vertices(heights, gamma: np.ndarray, perms: np.ndarray) -> np.ndarray:
@@ -91,25 +91,90 @@ def _lexsort_firsts(keys: np.ndarray) -> np.ndarray:
     return idx[first]
 
 
+@cache
+def _prefix_tree(d: int) -> tuple[tuple[int, ...], tuple[np.ndarray, ...], np.ndarray, np.ndarray]:
+    """(starts, added, parent, gather): the prefix tree of the lexicographic orders of d levels, built once per d.
+
+    Level j of the tree holds the d!/(d-1-j)! distinct prefixes of length
+    j + 1 of the rows of `perm_matrix(d)`, in the order they first appear:
+    row i has prefix i // (d-1-j)! there, and prefix t extends its parent
+    t // (d - j) by the level `added[j][t]` (given for every level but the
+    last).  The points of all levels lie in one flat array, level j from
+    `starts[j]` to `starts[j + 1]`.  `parent` maps each point beyond the
+    first level to its parent's flat index, and row i, column perms[i, j] of
+    `gather` is the flat index of row i's prefix of length j + 1.  The
+    arrays are read-only.
+    """
+    perms = perm_matrix(d)
+    n = len(perms)
+    sizes = [math.perm(d, j + 1) for j in range(d)]
+    starts = tuple(itertools.accumulate(sizes, initial=0))
+    added = tuple(_freeze(perms[:: n // sizes[j], j].copy()) for j in range(d - 1))
+    parent = np.repeat(np.arange(starts[-2]), np.repeat(np.arange(d - 1, 0, -1), sizes[:-1]))  # d - j children at level j - 1
+    gather = np.empty((n, d), dtype=np.intp)
+    rows = np.arange(n)
+    for j, size in enumerate(sizes):
+        gather[rows, perms[:, j]] = starts[j] + rows // (n // size)
+    return starts, added, _freeze(parent), _freeze(gather)
+
+
+def lex_rows(heights, gamma: np.ndarray) -> np.ndarray:
+    """`order_vertices(heights, gamma, perm_matrix(d))`, bit for bit, read once per distinct prefix.
+
+    The knot and the height of a prefix are shared by every order that
+    starts with it, so they are built on the prefix tree (`_prefix_tree`):
+    d!/(d-1-j)! points at level j instead of d!, and none at the last
+    level, whose height is pinned to 1 (8,659 points instead of 35,280 at
+    d = 7).  Each knot adds the level a prefix adds to its parent's knot
+    (to 0.0 at the first level), the one add `order_vertices` makes in
+    that column, so the knots have the same bits; `heights` is read once
+    on all of them and must act element by element, as the curve and the
+    C+ bound do.  Each increment is a prefix's height less its parent's,
+    the subtraction `order_vertices` makes, clamped at 0 the same way, and
+    one gather through the tree's cached index spreads the increments over
+    the (d!, d) rows.
+    """
+    d = gamma.size
+    starts, added, parent, gather = _prefix_tree(d)
+    knots = np.empty(starts[-2])
+    above = np.zeros(1)  # the empty prefix's knot
+    for j in range(d - 1):
+        above = np.add(np.repeat(above, d - j), gamma[added[j]], out=knots[starts[j] : starts[j + 1]])
+    h = heights(knots)
+    pops = np.concatenate((h, np.ones(starts[-1] - starts[-2])))
+    pops[d:] -= h[parent]
+    return np.maximum(pops, 0.0, out=pops)[gather]
+
+
 def distinct_vertices(heights, gamma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Read-only (int8 orders, checked vertices) over every order; equal vertices keep their first order.
 
-    Two vertices are equal when their rows rounded to 10 decimals are, with
-    -0.0 folded into 0.0 so that equal rows have equal bits.  Each rounded
-    row is hashed into one uint64 (`_row_hashes`), and one argsort of the
-    hashes puts rows with equal hashes into runs; each run keeps its
-    smallest index, and the kept orders come out in lexicographic order.
-    Equal rows always share a hash, so the runs can only merge rows that
-    differ, and every row is then checked against the row its run keeps.
-    Distinct rows collide with probability about n^2 / 2^65 for n rows,
-    4e-11 for the 40,320 orders of d = 8; on a collision, or on a NaN, which
-    equals nothing, the stable lexsort of the rounded rows decides instead,
-    which keeps the same rows.  Either way the result is exact.  The hash
-    reads each column once where the lexsort sorts every row once per
-    column.
+    The rows of every level order in lexicographic order (`lex_rows`, which
+    reads the bounding curve `heights` once per distinct prefix) are
+    deduplicated by `distinct_rows`.
     """
-    perms = perm_matrix(gamma.size)
-    rows = order_vertices(heights, gamma, perms)
+    return distinct_rows(perm_matrix(gamma.size), lex_rows(heights, gamma))
+
+
+def distinct_rows(perms: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (int8 orders, checked rows) of the distinct rows of `rows`; each keeps its first order.
+
+    Row i of `rows` is the vertex of order i of `perms`, whose orders come
+    lexicographically, so the first order of each vertex is its
+    lexicographically first.  Two vertices are equal when their rows
+    rounded to 10 decimals are, with -0.0 folded into 0.0 so that equal rows
+    have equal bits.  Each rounded row is hashed into one uint64
+    (`_row_hashes`), and one argsort of the hashes puts rows with equal
+    hashes into runs; each run keeps its smallest index, and the kept
+    orders come out in the order of `perms`.  Equal rows always share a
+    hash, so the runs can only merge rows that differ, and every row is
+    then checked against the row its run keeps.  Distinct rows collide with
+    probability about n^2 / 2^65 for n rows, 4e-11 for the 40,320 orders of
+    d = 8; on a collision, or on a NaN, which equals nothing, the stable
+    lexsort of the rounded rows decides instead, which keeps the same rows.
+    Either way the result is exact.  The hash reads each column once where
+    the lexsort sorts every row once per column.
+    """
     keys = np.round(rows, 10)
     keys += 0.0
     h = _row_hashes(keys)

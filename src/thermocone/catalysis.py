@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -20,9 +21,11 @@ from .core import (
     Dist,
     EnergySpectrum,
     EPS_CMP,
+    MAX_ENUM_DIM,
     QuasiDist,
     Relation,
     TMCurve,
+    _freeze,
     _matched_gibbs,
     _perm,
     _probs,
@@ -217,8 +220,17 @@ def catalysable_past_member(q, p, spec: EnergySpectrum) -> bool:
 
 
 def _c_plus_heights(probs: np.ndarray, spec: EnergySpectrum):
-    ratios, order = _slope_order(probs, _matched_gibbs(spec, probs.size))
-    s1, sd = ratios[order[[0, -1]]]
+    return _cap(*_extreme_ratios(probs, _matched_gibbs(spec, probs.size)))
+
+
+def _extreme_ratios(probs: np.ndarray, gamma: np.ndarray) -> tuple[float, float]:
+    # the largest and smallest slope p_i / gamma_i: a max and a min are exact
+    ratios = probs / gamma
+    return float(ratios.max()), float(ratios.min())
+
+
+def _cap(s1: float, sd: float):
+    # the C+ bound min(1, s1 x, 1 - sd (1 - x)) at each knot
     return lambda knots: np.minimum(tangent_cap(s1, sd, knots), 1.0)
 
 
@@ -232,15 +244,118 @@ def c_plus_vertex(p, spec: EnergySpectrum, pi) -> Dist:
     return Dist(order_vertices(_c_plus_heights(probs, spec), spec.gibbs, _perm(pi, probs.size)[None])[0])
 
 
+@cache
+def _classes(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(weights, pairs, perms): every class (S, l) of d levels and its first order, built once per d.
+
+    Row S of `weights` holds 1.0 at the levels of subset S (level i is bit
+    i), so weights @ gamma gives every Gibbs subsum.  Column k of the
+    (2, n) `pairs` holds the subsets S and S + {l} of the k-th class, l
+    outside S, and row k of `perms` its lexicographically first order:
+    sorted(S), then l, then the other levels sorted, one argsort of ranks
+    that put S first, l at d and the rest after it.  The classes come in
+    lexicographic order of their orders, and all three are read-only.
+    """
+    subsets = np.arange(1 << d)
+    member = (subsets[:, None] >> np.arange(d)) & 1 == 1
+    sets, levels = np.nonzero(~member)
+    ranks = np.where(member[sets], np.arange(d), np.arange(d + 1, 2 * d + 1))
+    ranks[np.arange(len(sets)), levels] = d
+    perms = np.argsort(ranks, axis=1)
+    first = np.lexsort(perms.T[::-1])
+    pairs = np.stack((sets, sets | 1 << levels))[:, first]
+    return _freeze(member.astype(float)), _freeze(pairs), _freeze(perms[first])
+
+
 def _c_plus_rows(probs: np.ndarray, spec: EnergySpectrum) -> tuple[np.ndarray, np.ndarray]:
-    return distinct_vertices(_c_plus_heights(probs, spec), spec.gibbs)
+    """The (orders, rows) that `distinct_vertices` gives for the C+ bound, read off its two pieces.
+
+    Classes.  With s1 and sd the largest and smallest slopes p_i / gamma_i,
+    the bound is h(x) = min(1, s1 x, 1 - sd (1 - x)).  Where sd < 1 < s1 its
+    two lines meet at x* = (1 - sd) / (s1 - sd) in (0, 1), and h is s1 x up
+    to x* (there s1 x <= s1 x* <= 1) and 1 - sd (1 - x) from x* to 1.  An
+    order pi puts level pi_k at the knot X_k = gamma(pi_1) + ... +
+    gamma(pi_k); with k the first position where X_k >= x* (or d if there
+    is none), its class is S = {pi_1, ..., pi_k-1} and l = pi_k.  In exact
+    arithmetic, with the last height pinned to 1, each level of S gets
+    s1 gamma_i, l gets h(gamma(S + l)) - s1 gamma(S) (or 1 - s1 gamma(S)
+    when S + l holds every level), and each level after l gets sd gamma_i,
+    up to sigma = |1 - sum gamma|: the last level also gets sd (1 - sum
+    gamma), and a knot past 1 is held at 1.  So every order of a class has
+    the vertex v(S, l) up to sigma, and the class's lexicographically first
+    order, sorted(S), then l, then the other levels sorted, stands for all
+    of them.  Every class has gamma(S) <= x* <= gamma(S + l), or S + l
+    holds every level.  The classes are read off the 2^d Gibbs subsums
+    (`_classes`).  With u = 2^-53, a subsum of positive terms is off by at
+    most (d - 1) u of itself, and x* by 3 u of itself, so moving x* by
+    8 d u of itself, down for gamma(S + l) and up for gamma(S), finds every
+    class.  It may find a few more, which does no harm: each stands for a
+    real order, with that order's real row.
+
+    Spread.  The knots of `order_vertices` are sums of positive terms, so
+    X_k is off by at most (k - 1) u X_k.  Then s1 X_k is off by at most
+    k u s1 X_k, which matters only where s1 X_k is at most about 1, and
+    1 - sd (1 - X_k) by at most (k + 2) u after its three roundings, so the
+    least of the two lines and 1 is off by at most (k + 2) u.  The last
+    height is exactly 1.  A population is the difference of two
+    neighbouring heights, rounded once and then clamped at 0, which moves
+    it no further from its exact value (never negative), so it is off by at
+    most (2d + 2) u.  So each entry of a row is within (2d + 2) u + sigma
+    of v(S, l), and two orders of one class differ by at most
+    (4d + 4) u + 2 sigma: (2d + 2) ulps of 1, and 2 sigma.  Rounding to 10
+    decimals is monotone.  So where an entry of a representative's row,
+    moved down and up by tol = (4d + 8) u + 2 sigma (the extra 4 u covers
+    the rounding of the two moves), rounds to one value at both ends,
+    every order of the class rounds to that value there too.
+
+    Result.  The representatives are sorted lexicographically (the
+    `_classes` table is), and `order_vertices` gives each the row the
+    enumeration computes for that order, bit for bit.  Each row's key is
+    its value rounded to 10 decimals, and the first representative of each
+    key is kept.  The enumeration keeps the first order of each key.  That
+    order's class representative comes no later and, the check having
+    passed, has the same key, so it is that order.  So the representatives
+    hold the first order of every key and nothing outside the enumeration,
+    and the result is the enumeration's, byte for byte.  The enumeration
+    (`distinct_vertices`), which is also the test oracle, decides instead
+    in three cases: where an entry lies within tol of a rounding edge (a
+    few states in a hundred); where x* is not inside (0, 1), in Gibbs states
+    and states within rounding of Gibbs, whose slopes all lie on one side
+    of 1; and at d < 3, where it is as cheap.  Above the enumeration cap it
+    refuses d, as it did before there was a closed form.
+    """
+    gamma = _matched_gibbs(spec, probs.size)
+    s1, sd = _extreme_ratios(probs, gamma)
+    heights = _cap(s1, sd)
+    d = gamma.size
+    if 3 <= d <= MAX_ENUM_DIM and sd < 1.0 < s1 < math.inf:
+        weights, pairs, reps = _classes(d)
+        x = (1.0 - sd) / (s1 - sd)
+        slack = d * 2.0**-50
+        mass = weights @ gamma  # at most 256 x 8, far below where OpenBLAS starts threads
+        mass[-1] = math.inf  # every level: S + {l} reaches x* however the subsums round
+        mass = mass[pairs]
+        perms = reps[(mass[0] <= x * (1.0 + slack)) & (mass[1] >= x * (1.0 - slack))]
+        rows = order_vertices(heights, gamma, perms)
+        tol = (4 * d + 8) * 2.0**-53 + 2.0 * abs(1.0 - math.fsum(gamma.tolist()))
+        keys = np.round(rows - tol, 10)  # where the check holds, the rows rounded
+        if (keys == np.round(rows + tol, 10)).all():
+            first = {}  # a few dozen rows: a dict costs less than the hash sort of `distinct_rows`
+            for k, key in enumerate(map(tuple, keys.tolist())):  # -0.0 and 0.0 are one dict key
+                first.setdefault(key, k)
+            keep = list(first.values())
+            return _freeze(perms[keep].astype(np.int8)), _simplex_rows(rows[keep])
+    return distinct_vertices(heights, gamma)
 
 
 def c_plus_vertices(p, spec: EnergySpectrum) -> ConeVertices:
     """Deduplicated extreme points of the catalysable future over all orders.
 
-    One vectorised pass over every level order (d <= 8); vertices equal to
-    1e-10 keep the lexicographically first order.
+    The vertices equal to 1e-10 keep the lexicographically first order, as
+    an enumeration of every level order (d <= 8) would keep them, and they
+    are that enumeration's bytes.  They are read off the bound's two
+    pieces, a few dozen orders at d = 7 instead of 5,040 (`_c_plus_rows`);
+    the enumeration decides where that cannot be shown exact.
     """
     return ConeVertices(*_c_plus_rows(_probs(p), spec))
 

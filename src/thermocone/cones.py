@@ -76,8 +76,9 @@ def _future_rows(probs: np.ndarray, spec: EnergySpectrum) -> tuple[np.ndarray, n
 def future_cone_vertices(p, spec: EnergySpectrum) -> ConeVertices:
     """All extreme points of the future thermal cone of `p`.
 
-    One vectorised pass over every level order (d <= 8) reads the populations
-    off the curve of `p` at the order's Gibbs subsums; vertices equal to 1e-10
-    keep the lexicographically first order.
+    The populations of every level order (d <= 8) are read off the curve of
+    `p` at the order's Gibbs subsums, once per distinct prefix of the orders
+    (`_batch.lex_rows`); vertices equal to 1e-10 keep the lexicographically
+    first order.
     """
     return ConeVertices(*_future_rows(_probs(p), spec))

@@ -10,6 +10,7 @@ a catalyst exists, so the value bounds what any strict catalyst could do).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -29,6 +30,8 @@ __all__ = [
 ]
 
 _BISECT_TOL = 1e-8
+_LOG_MAX = math.log(sys.float_info.max)  # the largest argument math.exp takes without overflowing, about 709.78
+_BETA_MIN = 1e-7  # the first grid point beta 1e-9 is then at least 1e-16, where 1 - exp(-x) is not yet 0
 
 
 class NoRootError(ValueError):
@@ -363,6 +366,12 @@ def critical_hot_betas(
     holds.  With `linearised` the small-beta closed forms are returned instead
     of bisection roots.  `j` selects which population prefix the sandwiching
     index is computed for (1 = ground state).
+
+    The roots are taken for beta in [1e-7, log(max double) / (d - 1)] only,
+    and any other beta is refused with a ValueError that names that range.
+    Above it exp(beta (d - 1)) is no double; below it the first grid point,
+    beta 1e-9, is under 1e-16, where 1 - exp(-x) rounds to 0 and the
+    geometric sums divide by it.
     """
     if d < 2:
         raise ValueError("d must be at least 2")
@@ -375,6 +384,9 @@ def critical_hot_betas(
         down = (d * (3.0 * beta * (d - 1) - 2.0) * (m + 1) + 2.0) / (2.0 * d - m - 2.0)
         up = (d * (3.0 * beta * (d - 1) - 2.0) * m + 2.0) / (2.0 * d - m - 1.0)
         return down, up
+    top = _LOG_MAX / (d - 1)
+    if not _BETA_MIN <= beta <= top:
+        raise ValueError(f"beta must lie in [{_BETA_MIN:g}, {top!r}] at d = {d}, where the margins are finite doubles")
     grid = np.linspace(beta * 1e-9, beta * (1.0 - 1e-9), 512)
     advantage, no_go, band = _grid_margins(d, beta, m, grid)
     down = _boundary(lambda x: _advantage_margin(d, beta, m, x), grid, advantage, band, "advantage")

@@ -142,7 +142,7 @@ def _simplex_rows(m: np.ndarray) -> np.ndarray:
         raise ValueError("distribution entries must be finite")
     if m.min() < -EPS_NEG:
         raise ValueError(f"negative probability {m.min():.3e} below -{EPS_NEG:.0e}")
-    np.clip(m, 0.0, None, out=m)
+    np.maximum(m, 0.0, out=m)  # np.clip with no upper bound, less its Python wrappers
     bad = np.abs(m.sum(axis=-1) - 1.0) > EPS_SUM
     if bad.any():
         raise ValueError(f"probabilities sum to {float(m[bad][0].sum()):.12g}, not 1")

@@ -9,6 +9,8 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
     derandomize=True,
 )
+# the suite's sweeps at ten times the examples, still derandomised: `pytest --hypothesis-profile=deep`
+settings.register_profile("deep", parent=settings.get_profile("suite"), max_examples=400)
 settings.load_profile("suite")
 
 

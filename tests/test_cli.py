@@ -217,6 +217,12 @@ class TestExitCodes:
         assert "finite" in captured.err
         assert captured.out == ""
 
+    def test_beta_beyond_the_representable_range_is_a_domain_error(self, capsys):
+        assert run(["cooling-critical", "--d", "2", "--beta-list", "711"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: beta must lie in [1e-07, 709.782712893384] at d = 2, where the margins are finite doubles\n"
+        assert captured.out == ""
+
     def test_unwritable_out_is_usage_error(self, tmp_path, capsys):
         target = tmp_path / "missing-dir" / "result.json"
         assert run(["curve", "--input", STATE3, "--out", str(target)]) == 2

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from thermocone import EnergySpectrum, _batch, c_plus_vertices, cones, future_cone_vertices
-from thermocone._batch import distinct_vertices, order_vertices, perm_matrix
+from thermocone._batch import distinct_rows, distinct_vertices, order_vertices, perm_matrix
 from thermocone.catalysis import _c_plus_heights
 from thermocone.cones import _curve_heights
 from thermocone.core import _row_dist, _simplex_rows
@@ -183,8 +183,8 @@ def test_kernel_and_dedup_equal_the_earlier_pipeline_bit_for_bit(p, spec):
 def test_rows_differing_in_the_sign_of_a_zero_are_one_vertex():
     # order (0, 1) gives (-0.0, 1.0) and order (1, 0) gives (0.0, 1.0): the fold
     # into 0.0 gives both rows the same bits, and so the same hash
-    gamma = np.array([0.5, 0.5])
-    orders, kept = distinct_vertices(lambda knots: np.array([[-0.0, 1.0], [1.0, 1.0]]), gamma)
+    gamma, perms = np.array([0.5, 0.5]), perm_matrix(2)
+    orders, kept = distinct_rows(perms, order_vertices(lambda knots: np.array([[-0.0, 1.0], [1.0, 1.0]]), gamma, perms))
     assert orders.tolist() == [[0, 1]]
     assert kept.tolist() == [[0.0, 1.0]]
 
@@ -250,9 +250,8 @@ def test_rows_across_a_rounding_edge_and_signed_zeros_dedup_as_the_lexsort(monke
         assert len(np.unique(keys[:, j])) == 2
     assert np.signbit(rows[:, 3:-1]).any() and not np.signbit(rows[:, 3:-1]).all()
     want_orders, want_rows = earlier_dedup(perm_matrix(d), rows.copy())
-    monkeypatch.setattr(_batch, "order_vertices", lambda heights, gamma, perms: rows.copy())
     calls = spy_on_the_lexsort(monkeypatch)
-    orders, got = distinct_vertices(None, np.full(d, 1.0 / d))
+    orders, got = distinct_rows(perm_matrix(d), rows.copy())
     assert calls == [] and 1 < len(got) < len(rows)
     assert orders.tobytes() == want_orders.astype(np.int8).tobytes()
     assert got.tobytes() == want_rows.tobytes()

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -234,12 +235,19 @@ class TestCriticalBetas:
             assert outcome(critical_hot_betas, d, beta, False, j) == want, (d, beta, j)
             kinds.add(want[0] if isinstance(want[0], type) else float)
         assert kinds == {float, NoRootError}
-        # an overflowing exp(beta (d - 1)) raises as the scalar form does
-        for d, beta in ((2, 711.0), (3, 360.0)):
-            assert outcome(critical_hot_betas, d, beta) == outcome(scalar_critical_hot_betas, d, beta) == (
-                OverflowError,
-                "math range error",
+        # where exp(beta (d - 1)) overflows or 1 - exp(-beta 1e-9) is 0 the scalar form raises an
+        # arithmetic error, and the library refuses the beta with the range it takes
+        for d, beta, error in ((2, 711.0, OverflowError), (3, 360.0, OverflowError), (3, 1e-300, ZeroDivisionError)):
+            assert outcome(scalar_critical_hot_betas, d, beta)[0] is error
+            top = math.log(sys.float_info.max) / (d - 1)
+            assert outcome(critical_hot_betas, d, beta) == (
+                ValueError,
+                f"beta must lie in [1e-07, {top!r}] at d = {d}, where the margins are finite doubles",
             )
+        # at both ends of the range the answers are the scalar form's
+        for d in (2, 3, 8):
+            for beta in (1e-7, math.log(sys.float_info.max) / (d - 1)):
+                assert outcome(critical_hot_betas, d, beta) == outcome(scalar_critical_hot_betas, d, beta)
 
     def test_grid_values_inside_the_band_are_read_with_the_scalar_form(self):
         d, beta, m = 4, 2.0, 1

@@ -25,7 +25,7 @@ from thermocone import (
     thermo_majorizes,
     vertex_for_order,
 )
-from thermocone._batch import distinct_vertices, order_vertices, perm_matrix
+from thermocone._batch import distinct_rows, distinct_vertices, order_vertices, perm_matrix
 from thermocone.catalysis import _c_plus_heights, _c_plus_rows
 from thermocone.cones import _curve_heights, _future_rows
 
@@ -226,8 +226,8 @@ def test_distinct_vertices_keep_the_first_order_of_each_rounded_row(d):
 
 def test_rows_in_one_rounding_bucket_are_one_vertex():
     # order (1, 0) gives (0.3 - 1e-13, 0.7 + 1e-13): the same row to 10 decimals
-    gamma = np.array([0.5, 0.5])
+    gamma, perms = np.array([0.5, 0.5]), perm_matrix(2)
     heights = lambda knots: np.array([[0.3, 1.0], [0.7 + 1e-13, 1.0]])
-    orders, kept = distinct_vertices(heights, gamma)
+    orders, kept = distinct_rows(perms, order_vertices(heights, gamma, perms))
     assert orders.tolist() == [[0, 1]]
     assert kept.tolist() == [[0.3, 0.7]]

@@ -1,6 +1,7 @@
 """The package's public names, and what a fresh interpreter loads to answer a call."""
 
 import importlib
+import json
 import os
 import subprocess
 import sys
@@ -53,3 +54,17 @@ def test_dim_bound_and_oracle_report_leave_numpy_ma_unimported():
         "print('numpy.ma' in sys.modules)\n"
     )
     assert fresh_interpreter(code).strip() == "False"
+
+
+def test_import_builds_no_per_d_table():
+    # the level orders, their prefix tree and the C+ classes of a d are built on its first call
+    code = (
+        "import json, sys, thermocone\n"
+        "sizes = {f'{m.__name__}.{name}': f.cache_info().currsize\n"
+        "         for m in list(sys.modules.values()) if m.__name__.startswith('thermocone')\n"
+        "         for name, f in vars(m).items() if hasattr(f, 'cache_info')}\n"
+        "print(json.dumps(sizes))\n"
+    )
+    sizes = json.loads(fresh_interpreter(code))
+    assert {"thermocone._batch.perm_matrix", "thermocone._batch._prefix_tree", "thermocone.catalysis._classes"} <= set(sizes)
+    assert set(sizes.values()) == {0}
