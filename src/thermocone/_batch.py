@@ -37,27 +37,32 @@ def perm_matrix(d: int) -> np.ndarray:
 def order_vertices(heights, gamma: np.ndarray, perms: np.ndarray) -> np.ndarray:
     """Extreme point of each level order in `perms`.
 
-    `heights` maps the knots cumsum(gamma[order]) to the bounding curve as a
-    fresh array; with the last height pinned to 1, the height increments,
-    clamped at 0, are the populations.  They are written into the knots'
-    memory instead of a third (n, d) array, through flat indices.  The knots
-    are built by adding each column to the next in place, which adds in the
-    order numpy's accumulate along a row does, so the doubles are those of
-    `np.cumsum(gamma[perms], axis=1)`.  Column adds cost a few microseconds
-    more than one accumulate on the few-row calls of `cooling`, and save
-    two thirds of it on a full enumeration, whose short rows the accumulate
-    walks one at a time.
+    `heights` maps the knots np.cumsum(gamma[perms], axis=1) to the bounding
+    curve as a fresh array; with the last height pinned to 1, the height
+    increments, clamped at 0, are the populations.  They are written into
+    the knots' memory instead of a third (n, d) array, through flat
+    indices.  The callers ask for a few orders at a time; every order at
+    once is `lex_rows`.
     """
     n, d = perms.shape
-    knots = gamma[perms]
-    for j in range(1, d):
-        knots[:, j] += knots[:, j - 1]
+    knots = np.cumsum(gamma[perms], axis=1)
     h = heights(knots)
     h[:, -1] = 1.0
     h[:, 1:] = h[:, 1:] - h[:, :-1]
     flat = perms + np.arange(0, n * d, d)[:, None]
     knots.reshape(-1)[flat.reshape(-1)] = np.maximum(h, 0.0, out=h).reshape(-1)
     return knots
+
+
+def vertex_keys(a: np.ndarray) -> np.ndarray:
+    """The entries of `a` as vertex sets compare them: rounded to 10 decimals, with -0.0 read as 0.0.
+
+    Two vertices are equal when their keys are, entry by entry.  Folding
+    -0.0 into 0.0 gives equal keys equal bits, so they can be hashed and
+    used as dict keys.  Two values with equal keys lie within 1e-10 of each
+    other.  This is the one place the rule is written.
+    """
+    return np.round(a, 10) + 0.0
 
 
 _MIX = np.uint64(0x9E3779B97F4A7C15)  # odd, so multiplying by it permutes the 64-bit words
@@ -161,9 +166,8 @@ def distinct_rows(perms: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.n
 
     Row i of `rows` is the vertex of order i of `perms`, whose orders come
     lexicographically, so the first order of each vertex is its
-    lexicographically first.  Two vertices are equal when their rows
-    rounded to 10 decimals are, with -0.0 folded into 0.0 so that equal rows
-    have equal bits.  Each rounded row is hashed into one uint64
+    lexicographically first.  Two vertices are equal when their
+    `vertex_keys` are.  Each row of keys is hashed into one uint64
     (`_row_hashes`), and one argsort of the hashes puts rows with equal
     hashes into runs; each run keeps its smallest index, and the kept
     orders come out in the order of `perms`.  Equal rows always share a
@@ -171,12 +175,13 @@ def distinct_rows(perms: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.n
     then checked against the row its run keeps.  Distinct rows collide with
     probability about n^2 / 2^65 for n rows, 4e-11 for the 40,320 orders of
     d = 8; on a collision, or on a NaN, which equals nothing, the stable
-    lexsort of the rounded rows decides instead, which keeps the same rows.
-    Either way the result is exact.  The hash reads each column once where
-    the lexsort sorts every row once per column.
+    lexsort of the keys decides instead, which keeps the same rows.  Either
+    way the result is exact.  The hash reads each column once where the
+    lexsort sorts every row once per column.  `distinct_vertices` calls it
+    on every order of d levels, and `catalysis.c_plus_vertices` on the few
+    dozen orders of its closed form.
     """
-    keys = np.round(rows, 10)
-    keys += 0.0
+    keys = vertex_keys(rows)
     h = _row_hashes(keys)
     order = np.argsort(h)
     h = h[order]

@@ -16,7 +16,7 @@ from functools import cache
 
 import numpy as np
 
-from ._batch import distinct_vertices, dominance_margins, order_vertices, tangent_cap
+from ._batch import distinct_rows, distinct_vertices, dominance_margins, order_vertices, subset_masses, tangent_cap, vertex_keys
 from .core import (
     Dist,
     EnergySpectrum,
@@ -172,11 +172,13 @@ def catalytic_condition(p, q, spec: EnergySpectrum) -> bool:
     """Necessary slope condition for any strict catalyst taking p to q.
 
     Strict inequalities with a comparison margin biased toward "not
-    catalysable", so boundary pairs are rejected.
+    catalysable", so boundary pairs are rejected.  Each state's largest and
+    smallest slope p_i / gamma_i are read with no sort (`_extreme_ratios`),
+    p checked against `spec` before q.
     """
-    sp = beta_order(p, spec).slopes
-    sq = beta_order(q, spec).slopes
-    return bool(sp[0] > sq[0] + EPS_CMP and sp[-1] < sq[-1] - EPS_CMP)
+    s1p, sdp = _extreme_ratios(probs := _probs(p), _matched_gibbs(spec, probs.size))
+    s1q, sdq = _extreme_ratios(probs := _probs(q), _matched_gibbs(spec, probs.size))
+    return s1p > s1q + EPS_CMP and sdp < sdq - EPS_CMP
 
 
 def _one_row(q, spec: EnergySpectrum) -> _Chunk:
@@ -245,16 +247,15 @@ def c_plus_vertex(p, spec: EnergySpectrum, pi) -> Dist:
 
 
 @cache
-def _classes(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(weights, pairs, perms): every class (S, l) of d levels and its first order, built once per d.
+def _classes(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """(pairs, perms): every class (S, l) of d levels and its first order, built once per d.
 
-    Row S of `weights` holds 1.0 at the levels of subset S (level i is bit
-    i), so weights @ gamma gives every Gibbs subsum.  Column k of the
-    (2, n) `pairs` holds the subsets S and S + {l} of the k-th class, l
-    outside S, and row k of `perms` its lexicographically first order:
-    sorted(S), then l, then the other levels sorted, one argsort of ranks
-    that put S first, l at d and the rest after it.  The classes come in
-    lexicographic order of their orders, and all three are read-only.
+    Column k of the (2, n) `pairs` holds the subsets S and S + {l} of the
+    k-th class as bitmasks (level i is bit i), l outside S, and row k of
+    `perms` its lexicographically first order: sorted(S), then l, then the
+    other levels sorted, one argsort of ranks that put S first, l at d and
+    the rest after it.  The classes come in lexicographic order of their
+    orders, and both are read-only.
     """
     subsets = np.arange(1 << d)
     member = (subsets[:, None] >> np.arange(d)) & 1 == 1
@@ -264,7 +265,7 @@ def _classes(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     perms = np.argsort(ranks, axis=1)
     first = np.lexsort(perms.T[::-1])
     pairs = np.stack((sets, sets | 1 << levels))[:, first]
-    return _freeze(member.astype(float)), _freeze(pairs), _freeze(perms[first])
+    return _freeze(pairs), _freeze(perms[first])
 
 
 def _c_plus_rows(probs: np.ndarray, spec: EnergySpectrum) -> tuple[np.ndarray, np.ndarray]:
@@ -286,8 +287,9 @@ def _c_plus_rows(probs: np.ndarray, spec: EnergySpectrum) -> tuple[np.ndarray, n
     order, sorted(S), then l, then the other levels sorted, stands for all
     of them.  Every class has gamma(S) <= x* <= gamma(S + l), or S + l
     holds every level.  The classes are read off the 2^d Gibbs subsums
-    (`_classes`).  With u = 2^-53, a subsum of positive terms is off by at
-    most (d - 1) u of itself, and x* by 3 u of itself, so moving x* by
+    (`_classes`; `subset_masses` builds them).  With u = 2^-53, a subsum of
+    positive terms is off by at most (d - 1) u of itself, in any order of
+    its additions, and x* by 3 u of itself, so moving x* by
     8 d u of itself, down for gamma(S + l) and up for gamma(S), finds every
     class.  It may find a few more, which does no harm: each stands for a
     real order, with that order's real row.
@@ -303,20 +305,20 @@ def _c_plus_rows(probs: np.ndarray, spec: EnergySpectrum) -> tuple[np.ndarray, n
     most (2d + 2) u.  So each entry of a row is within (2d + 2) u + sigma
     of v(S, l), and two orders of one class differ by at most
     (4d + 4) u + 2 sigma: (2d + 2) ulps of 1, and 2 sigma.  Rounding to 10
-    decimals is monotone.  So where an entry of a representative's row,
-    moved down and up by tol = (4d + 8) u + 2 sigma (the extra 4 u covers
-    the rounding of the two moves), rounds to one value at both ends,
-    every order of the class rounds to that value there too.
+    decimals (`vertex_keys`) is monotone.  So where an entry of a
+    representative's row, moved down and up by tol = (4d + 8) u + 2 sigma
+    (the extra 4 u covers the rounding of the two moves), has one key at
+    both ends, every order of the class has that key there too.
 
     Result.  The representatives are sorted lexicographically (the
     `_classes` table is), and `order_vertices` gives each the row the
-    enumeration computes for that order, bit for bit.  Each row's key is
-    its value rounded to 10 decimals, and the first representative of each
-    key is kept.  The enumeration keeps the first order of each key.  That
-    order's class representative comes no later and, the check having
-    passed, has the same key, so it is that order.  So the representatives
-    hold the first order of every key and nothing outside the enumeration,
-    and the result is the enumeration's, byte for byte.  The enumeration
+    enumeration computes for that order, bit for bit.  They end in
+    `distinct_rows`, which keeps the first representative of each key, as
+    the enumeration keeps the first order of each key.  That order's class
+    representative comes no later and, the check having passed, has the
+    same key, so it is that order.  So the representatives hold the first
+    order of every key and nothing outside the enumeration, and the result
+    is the enumeration's, byte for byte.  The enumeration
     (`distinct_vertices`), which is also the test oracle, decides instead
     in three cases: where an entry lies within tol of a rounding edge (a
     few states in a hundred); where x* is not inside (0, 1), in Gibbs states
@@ -329,33 +331,28 @@ def _c_plus_rows(probs: np.ndarray, spec: EnergySpectrum) -> tuple[np.ndarray, n
     heights = _cap(s1, sd)
     d = gamma.size
     if 3 <= d <= MAX_ENUM_DIM and sd < 1.0 < s1 < math.inf:
-        weights, pairs, reps = _classes(d)
+        pairs, reps = _classes(d)
         x = (1.0 - sd) / (s1 - sd)
         slack = d * 2.0**-50
-        mass = weights @ gamma  # at most 256 x 8, far below where OpenBLAS starts threads
-        mass[-1] = math.inf  # every level: S + {l} reaches x* however the subsums round
-        mass = mass[pairs]
+        # the subsums of every subset: 0 for none, and inf for every level, which reaches x* however they round
+        mass = np.concatenate(([0.0], subset_masses(gamma[:, None])[:, 0], [math.inf]))[pairs]
         perms = reps[(mass[0] <= x * (1.0 + slack)) & (mass[1] >= x * (1.0 - slack))]
         rows = order_vertices(heights, gamma, perms)
         tol = (4 * d + 8) * 2.0**-53 + 2.0 * abs(1.0 - math.fsum(gamma.tolist()))
-        keys = np.round(rows - tol, 10)  # where the check holds, the rows rounded
-        if (keys == np.round(rows + tol, 10)).all():
-            first = {}  # a few dozen rows: a dict costs less than the hash sort of `distinct_rows`
-            for k, key in enumerate(map(tuple, keys.tolist())):  # -0.0 and 0.0 are one dict key
-                first.setdefault(key, k)
-            keep = list(first.values())
-            return _freeze(perms[keep].astype(np.int8)), _simplex_rows(rows[keep])
+        if (vertex_keys(rows - tol) == vertex_keys(rows + tol)).all():
+            return distinct_rows(perms, rows)
     return distinct_vertices(heights, gamma)
 
 
 def c_plus_vertices(p, spec: EnergySpectrum) -> ConeVertices:
     """Deduplicated extreme points of the catalysable future over all orders.
 
-    The vertices equal to 1e-10 keep the lexicographically first order, as
-    an enumeration of every level order (d <= 8) would keep them, and they
-    are that enumeration's bytes.  They are read off the bound's two
-    pieces, a few dozen orders at d = 7 instead of 5,040 (`_c_plus_rows`);
-    the enumeration decides where that cannot be shown exact.
+    Vertices with equal `_batch.vertex_keys` keep the lexicographically
+    first order, as an enumeration of every level order (d <= 8) would keep
+    them, and they are that enumeration's bytes.  They are read off the
+    bound's two pieces, a few dozen orders at d = 7 instead of 5,040
+    (`_c_plus_rows`); the enumeration decides where that cannot be shown
+    exact.
     """
     return ConeVertices(*_c_plus_rows(_probs(p), spec))
 

@@ -78,7 +78,7 @@ def future_cone_vertices(p, spec: EnergySpectrum) -> ConeVertices:
 
     The populations of every level order (d <= 8) are read off the curve of
     `p` at the order's Gibbs subsums, once per distinct prefix of the orders
-    (`_batch.lex_rows`); vertices equal to 1e-10 keep the lexicographically
-    first order.
+    (`_batch.lex_rows`); vertices with equal `_batch.vertex_keys` keep the
+    lexicographically first order.
     """
     return ConeVertices(*_future_rows(_probs(p), spec))

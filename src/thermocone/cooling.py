@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._batch import order_vertices
+from ._batch import order_vertices, vertex_keys
 from .catalysis import _c_plus_heights
 from .cones import _curve_heights
 from .core import Dist, EnergySpectrum, _probs
@@ -69,7 +69,7 @@ def _search(heights, probs: np.ndarray, spec: EnergySpectrum, best: tuple | None
 
     The scan it reproduces walks the vertices of the curve `heights` in
     lexicographic order of their level orders, skipping an order whose vertex
-    equals an earlier order's to 10 decimals (`_batch.distinct_vertices`), and
+    has an earlier order's `vertex_keys` (`_batch.distinct_vertices`), and
     keeps a vertex only when its heat is below the kept one's by more than
     1e-12, so ties go to the first order; `best` is what an earlier scan kept.
 
@@ -140,8 +140,8 @@ def _search(heights, probs: np.ndarray, spec: EnergySpectrum, best: tuple | None
     _, order, row, heat = current
     seen = _seen_by_scan(heights, gamma)
     # an earlier order branches off this one through a passed child and gives the child's level
-    # that child's population; two values equal to 10 decimals lie within 1e-10 of each other,
-    # so unless one such population is within 2e-10 of this row's, the scan sees this order
+    # that child's population; two values with equal `vertex_keys` lie within 1e-10 of each
+    # other, so unless one such population is within 2e-10 of this row's, the scan sees this order
     if heat < kept - 1e-12 and (all(abs(c[2][c[0]] - row[c[0]]) > 2e-10 for c in passed) or seen(order, row)):
         return heat, row, order
     return _walk(below, seen, gamma, near, best)
@@ -171,7 +171,7 @@ def _walk(below, seen, gamma: np.ndarray, near: float, best: tuple | None) -> tu
             # a leaf's whole order (its last level is forced) and its rounded vertex
             head = perm[: len(prefix) + 1].tolist() if len(rest) > 2 else perm.tolist()
             levels = sorted(head)
-            key = (tuple(levels), tuple(np.round(row[levels], 10) + 0.0), float(knot) if len(rest) > 2 else None)
+            key = (tuple(levels), tuple(vertex_keys(row[levels])), float(knot) if len(rest) > 2 else None)
             if first_of.setdefault(key, head) < head or best is not None and heat >= best[0] - 1e-12:
                 continue
             if len(rest) > 2:
@@ -188,11 +188,11 @@ def _walk(below, seen, gamma: np.ndarray, near: float, best: tuple | None) -> tu
 
 
 def _seen_by_scan(heights, gamma: np.ndarray):
-    """A test seen(order, row): no order before `order` has a vertex equal to `row` at 10 decimals.
+    """A test seen(order, row): no order before `order` has a vertex with `row`'s `vertex_keys`.
 
     An order's population at position k depends only on its first k + 1
     levels, so orders are grown one level at a time, keeping a level only
-    while its population rounds to `row`'s.  Orders before `order` branch off
+    while its population's key is `row`'s.  Orders before `order` branch off
     it at some k with a smaller level; the first step tries every such
     branch.  Whether a prefix can still reach the rounded vertex depends only
     on its levels and its knot, so each such state is decided once per test
@@ -202,13 +202,13 @@ def _seen_by_scan(heights, gamma: np.ndarray):
     reaches: dict[tuple, bool] = {}
 
     def seen(order: np.ndarray, row: np.ndarray) -> bool:
-        key = np.round(row, 10) + 0.0
+        key = vertex_keys(row)
 
         def grow(prefixes: list[list[int]]) -> list[tuple]:
-            """(prefix, state) of the prefixes whose last level's population rounds to `key`'s."""
+            """(prefix, state) of the prefixes whose last level's population has its key in `key`."""
             perms = np.array([p + [i for i in range(d) if i not in p] for p in prefixes])
             at = (np.arange(len(perms)), np.array([len(p) - 1 for p in prefixes]))
-            pops = np.round(order_vertices(heights, gamma, perms)[at[0], perms[at]], 10)
+            pops = vertex_keys(order_vertices(heights, gamma, perms)[at[0], perms[at]])
             knots = np.cumsum(gamma[perms], axis=1)[at].tolist()
             return [
                 (p, (key.tobytes(), frozenset(p), x))

@@ -126,6 +126,38 @@ class TestCatalyticCondition:
     def test_worked_pair_passes(self):
         assert catalytic_condition(P3, Q3, SPEC3)
 
+    @pytest.mark.parametrize("beta", (0.0, 1.0, 30.0))
+    def test_equals_the_sorted_slope_form(self, rng, beta):
+        # the largest and smallest slope are a max and a min, so they are the
+        # ends of beta_order's sorted slopes to the last bit
+        def sorted_form(p, q, spec):
+            sp, sq = beta_order(p, spec).slopes, beta_order(q, spec).slopes
+            return bool(sp[0] > sq[0] + EPS_CMP and sp[-1] < sq[-1] - EPS_CMP)
+
+        verdicts = set()
+        for d in (2, 3, 5, 8):
+            spec = random_spectrum(rng, d, beta)
+            states = [random_dist(rng, d) for _ in range(6)] + [spec.gibbs]
+            for _ in range(3):
+                deficient = random_dist(rng, d)
+                deficient[rng.choice(d, size=rng.integers(1, d), replace=False)] = 0.0
+                states.append(deficient / deficient.sum())
+            for p in states:
+                for q in states:
+                    verdict = catalytic_condition(p, q, spec)
+                    assert verdict is sorted_form(p, q, spec)
+                    verdicts.add(verdict)
+        assert verdicts == {False, True}
+        # p's dimension is checked before q is read, in both forms
+        spec = random_spectrum(rng, 3, beta)
+        for p, q in ((random_dist(rng, 3), random_dist(rng, 4)), (random_dist(rng, 4), (0.5, 0.5, 0.5))):
+            errors = []
+            for form in (catalytic_condition, sorted_form):
+                with pytest.raises(ValueError) as err:
+                    form(p, q, spec)
+                errors.append(str(err.value))
+            assert errors[0] == errors[1]
+
     def test_rejected_reading_fails_brute_force(self):
         # the mis-normalised printed target: incomparable but violates the
         # necessary slope condition, and indeed no qubit catalyst works

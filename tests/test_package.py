@@ -1,5 +1,6 @@
-"""The package's public names, and what a fresh interpreter loads to answer a call."""
+"""The package's public names, what a fresh interpreter loads to answer a call, and rules kept in one place."""
 
+import ast
 import importlib
 import json
 import os
@@ -68,3 +69,26 @@ def test_import_builds_no_per_d_table():
     sizes = json.loads(fresh_interpreter(code))
     assert {"thermocone._batch.perm_matrix", "thermocone._batch._prefix_tree", "thermocone.catalysis._classes"} <= set(sizes)
     assert set(sizes.values()) == {0}
+
+
+SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+ROUNDS = {"np.round", "np.around", "numpy.round", "numpy.around"}
+
+
+def round_sites(node: ast.AST, scope: str) -> list[str]:
+    # the enclosing function, as module.outer.inner, of every np.round call below `node`
+    sites = []
+    for child in ast.iter_child_nodes(node):
+        inner = f"{scope}.{child.name}" if isinstance(child, SCOPES) else scope
+        if isinstance(child, ast.Call) and ast.unparse(child.func) in ROUNDS:
+            sites.append(inner)
+        sites += round_sites(child, inner)
+    return sites
+
+
+def test_vertex_equality_is_rounded_in_vertex_keys_only():
+    # one rule decides when two vertices are equal, so that changing it changes every vertex set at once
+    sites = []
+    for path in sorted(Path(thermocone.__file__).parent.rglob("*.py")):
+        sites += round_sites(ast.parse(path.read_text()), path.stem)
+    assert sites == ["_batch.vertex_keys"]
