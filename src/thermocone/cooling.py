@@ -5,6 +5,9 @@ system (cooling).  The non-catalytic optimum is attained at an extreme point
 of the future thermal cone; the catalytic figure is a bound obtained from the
 extreme points of the catalysable future (membership there does not guarantee
 a catalyst exists, so the value bounds what any strict catalyst could do).
+Both optima are the vertices of one level order, the stable ascending-energy
+order np.argsort(energies, kind="stable"), and that is the order a report
+names.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._batch import order_vertices, vertex_keys
+from ._batch import order_vertices
 from .catalysis import _c_plus_heights
 from .cones import _curve_heights
 from .core import Dist, EnergySpectrum, _probs
@@ -42,8 +45,10 @@ class NoRootError(ValueError):
 class CoolingReport:
     """Optimal heat exchange and targets; catalytic fields are bounds.
 
-    `q_c_catalytic` is None unless the catalytic bound was requested; when
-    present it satisfies q_c_catalytic <= q_c.
+    `order` is the stable ascending-energy level order, np.argsort(energies,
+    kind="stable"), whose future-cone vertex is `target`.  `q_c_catalytic`
+    is None unless the catalytic bound was requested; when present it
+    satisfies q_c_catalytic <= q_c, and `order_catalytic` equals `order`.
     """
 
     q_c: float
@@ -64,193 +69,64 @@ def heat_exchange(p, q, spec: EnergySpectrum) -> float:
     return float(e @ (b - a))
 
 
-def _search(heights, probs: np.ndarray, spec: EnergySpectrum, best: tuple | None = None) -> tuple:
-    """(heat, vertex, order) that a lexicographic scan over the distinct vertices keeps.
+def _ascending_vertex(heights, probs: np.ndarray, spec: EnergySpectrum) -> tuple[float, np.ndarray, np.ndarray]:
+    """(heat, vertex, order) of the stable ascending-energy order on the curve `heights`.
 
-    The scan it reproduces walks the vertices of the curve `heights` in
-    lexicographic order of their level orders, skipping an order whose vertex
-    has an earlier order's `vertex_keys` (`_batch.distinct_vertices`), and
-    keeps a vertex only when its heat is below the kept one's by more than
-    1e-12, so ties go to the first order; `best` is what an earlier scan kept.
+    Proof that no state below the curve has a lower heat.  The curve f is
+    concave and non-decreasing with f(0) = 0 and f(1) = 1: the state's own
+    curve for the future cone, or the C+ bound min(1, s1 x, 1 - sd (1 - x))
+    for the catalysable future.  By the subset lemma (`volume.region_masks`)
+    a state q lies below f iff q(S) <= F(S) = f(gamma(S)) for every level
+    subset S.  The heat is E.q - E.p.  List the levels in ascending energy,
+    pi, and let Q_k be the population of the first k.  Then E.q = E_pi(d) -
+    sum_k (E_pi(k+1) - E_pi(k)) Q_k, every coefficient is >= 0 and Q_k <=
+    F(first k levels), so E.q >= E_pi(d) - sum_k (E_pi(k+1) - E_pi(k))
+    F(first k levels).  The greedy vector of pi, whose k-th level gets
+    F(first k levels) - F(first k - 1 levels), has exactly those Q_k, and
+    `_batch.order_vertices` builds it from f at the order's Gibbs subsums.
+    It lies below f: F is submodular, because for S inside T and a level i
+    outside T, F(S + i) - F(S) >= F(T + i) - F(T) as gamma(S) <= gamma(T)
+    and f is concave, so by Edmonds' greedy theorem (*Submodular functions,
+    matroids and certain polyhedra*, 1970) the greedy vector of every order
+    is a vertex of the base polytope {q : q(S) <= F(S), q(all) = 1}.
+    Levels of equal energy may come in any order; the stable argsort keeps
+    them in index order, so sorted spectra give (0, 1, ..., d - 1).
 
-    Bound.  With the energies sorted, E_(1) <= ... <= E_(d), the heat of q is
-    E_(d) - sum_k (E_(k+1) - E_(k)) Q_k - E.p, where Q_k is the population of
-    the k lowest levels, so each Q_k should be as large as possible.  Fixing a
-    prefix of the order at Gibbs mass X fixes its levels' populations; the
-    other levels follow the concave, non-decreasing curve g(x) = f(X + x) -
-    f(X).  By the subset lemma (`volume.region_masks`) levels T outside the
-    prefix hold at most g(gamma(T)), so Q_k is at most its prefix part plus g
-    of the Gibbs mass of its other levels.  Completing the prefix with the
-    remaining levels in ascending energy (stable) meets all of these bounds at
-    once, so that completion's heat is the least of any order below the
-    prefix; with an empty prefix it is the optimum.
-
-    Search.  Once the kept heat is within 1e-12 of the optimum no later order
-    can beat it, so the scan keeps the first order within 1e-12 of the
-    optimum that it reaches while its kept heat is still more than 1e-12
-    above that order's.  Descending through the first child whose bound is
-    within 1e-12 of the optimum finds the first such order, and the bounds of
-    the children passed on the way are the least heats of every order before
-    it.  When they all lie more than 1e-12 above its heat and the scan sees
-    the order (`_seen_by_scan`), it is the answer.  Otherwise (near-ties
-    only) the scan itself is walked depth first (`_walk`).
-
-    Every vertex comes from `_batch.order_vertices`, which already clamps at
-    +0.0 what the scan's `_simplex_rows` would clamp, and its heat from the
-    same `float(e @ (row - p))` as the scan's, so heats and decisions agree
-    bit for bit.  The two can differ only where a heat lies within rounding
-    of a 1e-12 threshold.  Each node is one `order_vertices` call on at most
-    d completions.
+    In doubles, the rounding of the knots and the heights, the clamp of the
+    increments at +0.0 and the pin of the last height to 1 move the vertex
+    and its heat by a few ulps per level, so another order's computed heat
+    can lie below this one's by rounding only.  The heat is float(e @ (row
+    - p)), the same doubles as `heat_exchange(p, Dist(row), spec)`.
     """
-    gamma = spec.gibbs
     e = np.asarray(spec.energies)
-    by_energy = np.argsort(e, kind="stable").tolist()
-
-    def below(prefix: list[int], rest: list[int], firsts: list[int]) -> list[tuple]:
-        """(r, order, vertex, heat) of the best completion of prefix + [r] for each r in firsts."""
-        if not firsts:
-            return []
-        perms = np.array([prefix + [r] + [i for i in by_energy if i in rest and i != r] for r in firsts])
-        rows = order_vertices(heights, gamma, perms)
-        return list(zip(firsts, perms, rows, [float(e @ row) for row in rows - probs]))
-
-    levels = list(range(probs.size))
-    first = by_energy[0]  # the root's completion through `first` is the ascending-energy order
-    current, *earlier = below([], levels, [first] + levels[:first])
-    near = current[3] + 1e-12
-    if best is not None and best[0] <= near:
-        return best
-    kept = math.inf if best is None else best[0]
-    passed = []
-    prefix, rest = [], levels
-    while len(rest) > 1:
-        # the first child whose bound is within 1e-12 of the optimum: one of
-        # the children before the one the current completion continues with, or that one
-        for child in earlier:
-            if child[3] <= near:
-                current = child
-                break
-            kept = min(kept, child[3])
-            passed.append(child)
-        prefix = current[1][: len(prefix) + 1].tolist()
-        rest = [i for i in rest if i != prefix[-1]]
-        if len(rest) > 1:
-            nxt = int(current[1][len(prefix)])
-            earlier = below(prefix, rest, [i for i in rest if i < nxt])
-    _, order, row, heat = current
-    seen = _seen_by_scan(heights, gamma)
-    # an earlier order branches off this one through a passed child and gives the child's level
-    # that child's population; two values with equal `vertex_keys` lie within 1e-10 of each
-    # other, so unless one such population is within 2e-10 of this row's, the scan sees this order
-    if heat < kept - 1e-12 and (all(abs(c[2][c[0]] - row[c[0]]) > 2e-10 for c in passed) or seen(order, row)):
-        return heat, row, order
-    return _walk(below, seen, gamma, near, best)
-
-
-def _walk(below, seen, gamma: np.ndarray, near: float, best: tuple | None) -> tuple:
-    """The scan itself, depth first: each level index in ascending order.
-
-    A prefix is pruned when its bound is not below the kept heat by more than
-    1e-12, and the walk stops once the kept heat is `near` the optimum.  An
-    order that would be kept must be one the scan sees (`_seen_by_scan`).
-    Near-equal vertices make many orders ones it does not see; a prefix is
-    then skipped when a lexicographically earlier one holds the same levels
-    at the same rounded populations and reaches the same knot: every
-    completion gives both the same rounded vertex, so the scan sees none of
-    the later prefix's.
-    """
-    d = gamma.size
-    first_of: dict[tuple, list[int]] = {}
-
-    def visit(prefix: list[int], rest: list[int]) -> bool:
-        """Scan the orders below `prefix`; True once the kept heat is `near` the optimum."""
-        nonlocal best
-        children = below(prefix, rest, rest)
-        knots = np.cumsum(gamma[np.array([perm for _, perm, _, _ in children])], axis=1)[:, len(prefix)]
-        for (r, perm, row, heat), knot in zip(children, knots):
-            # a leaf's whole order (its last level is forced) and its rounded vertex
-            head = perm[: len(prefix) + 1].tolist() if len(rest) > 2 else perm.tolist()
-            levels = sorted(head)
-            key = (tuple(levels), tuple(vertex_keys(row[levels])), float(knot) if len(rest) > 2 else None)
-            if first_of.setdefault(key, head) < head or best is not None and heat >= best[0] - 1e-12:
-                continue
-            if len(rest) > 2:
-                if visit(head, [i for i in rest if i != r]):
-                    return True
-            elif seen(perm, row):
-                best = (heat, row, perm)
-                if heat <= near:
-                    return True
-        return False
-
-    visit([], list(range(d)))
-    return best
-
-
-def _seen_by_scan(heights, gamma: np.ndarray):
-    """A test seen(order, row): no order before `order` has a vertex with `row`'s `vertex_keys`.
-
-    An order's population at position k depends only on its first k + 1
-    levels, so orders are grown one level at a time, keeping a level only
-    while its population's key is `row`'s.  Orders before `order` branch off
-    it at some k with a smaller level; the first step tries every such
-    branch.  Whether a prefix can still reach the rounded vertex depends only
-    on its levels and its knot, so each such state is decided once per test
-    function.
-    """
-    d = gamma.size
-    reaches: dict[tuple, bool] = {}
-
-    def seen(order: np.ndarray, row: np.ndarray) -> bool:
-        key = vertex_keys(row)
-
-        def grow(prefixes: list[list[int]]) -> list[tuple]:
-            """(prefix, state) of the prefixes whose last level's population has its key in `key`."""
-            perms = np.array([p + [i for i in range(d) if i not in p] for p in prefixes])
-            at = (np.arange(len(perms)), np.array([len(p) - 1 for p in prefixes]))
-            pops = vertex_keys(order_vertices(heights, gamma, perms)[at[0], perms[at]])
-            knots = np.cumsum(gamma[perms], axis=1)[at].tolist()
-            return [
-                (p, (key.tobytes(), frozenset(p), x))
-                for p, pop, x in zip(prefixes, pops, knots)
-                if pop == key[p[-1]]
-            ]
-
-        def completes(prefix: list[int], state: tuple) -> bool:
-            if len(prefix) == d:
-                return True
-            if state not in reaches:
-                reaches[state] = any(completes(*c) for c in grow([prefix + [i] for i in range(d) if i not in prefix]))
-            return reaches[state]
-
-        branches = [order[:k].tolist() + [i] for k in range(d - 1) for i in order[k + 1 :].tolist() if i < order[k]]
-        return not (branches and any(completes(*c) for c in grow(branches)))
-
-    return seen
+    order = np.argsort(e, kind="stable")
+    row = order_vertices(heights, spec.gibbs, order[None])[0]
+    return float(e @ (row - probs)), row, order
 
 
 def optimal_cooling(p, spec: EnergySpectrum, catalytic: bool = False) -> CoolingReport:
     """Minimise the heat exchange over the reachable extreme points.
 
-    The future-cone vertex is found by a lexicographic branch-and-bound over
-    level orders (`_search`) that keeps what a scan of every vertex in
-    lexicographic order would: a later order must lower the heat by more than
-    1e-12, so ties go to the lexicographically first order and reports are
-    deterministic.  The catalytic bound continues the same scan over the
-    catalysable-future vertices.  No vertex set is enumerated, so there is no
-    cap on d.  A search descends one level of the order per vectorised call
-    on at most d orders.  Near-ties walk more of the tree.  The slowest are
-    states within about 1e-10 of a straight curve (near Gibbs), whose
-    vertices mostly agree to 10 decimals: the walk must show that the many
-    orders the scan skips as repeats hold nothing better.
+    Both the future cone and the catalysable future are base polytopes of
+    submodular functions, so the least heat over each is the vertex of the
+    stable ascending-energy level order (`_ascending_vertex` holds the
+    proof).  `order` is that order, np.argsort(energies, kind="stable"), and
+    `target` its future-cone vertex (`vertex_for_order`).  The catalytic
+    bound takes the same order's catalysable-future vertex (`c_plus_vertex`)
+    only when its heat is below the future's by more than 1e-12; otherwise
+    it repeats the future's heat and target, so ties go to the future and
+    `order_catalytic` equals `order` either way.  One vertex is built per
+    bound, so there is no cap on d.
     """
     probs = _probs(p)
-    heat, row, order = _search(_curve_heights(probs, spec), probs, spec)
+    heat, row, order = _ascending_vertex(_curve_heights(probs, spec), probs, spec)
     report = CoolingReport(q_c=heat, target=Dist(row), order=tuple(order.tolist()))
     if not catalytic:
         return report
-    heat, row, order = _search(_c_plus_heights(probs, spec), probs, spec, (heat, row, order))
-    return replace(report, q_c_catalytic=heat, target_catalytic=Dist(row), order_catalytic=tuple(order.tolist()))
+    c_heat, c_row, _ = _ascending_vertex(_c_plus_heights(probs, spec), probs, spec)
+    if c_heat < heat - 1e-12:
+        heat, row = c_heat, c_row
+    return replace(report, q_c_catalytic=heat, target_catalytic=Dist(row), order_catalytic=report.order)
 
 
 def _check_equidistant(spec: EnergySpectrum) -> None:
